@@ -17,8 +17,7 @@ points), ``cli`` (the command line).
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      NoValidDeltaError, QNewtonError, SingularMatrixError,
                      StalledLineSearchError)
-from .spectral import (SpectralDecomposition, eigh,
-                       min_abs_eigenvalue, reflect_inverse_apply)
+from .spectral import SpectralDecomposition, eigh, reflect_inverse_apply
 from .objectives import (Objective, fd_gradient, fd_hessian, make_benchmark,
                          make_stochastic_griewank, protein_objective)
 from .optimizers import (DeltaSchedule, IterationRecord, METHODS,
@@ -41,7 +40,7 @@ __all__ = [
     "builtin", "classify_critical_point", "emit_report",
     "eigh", "exp_rational_derivative", "fd_gradient", "fd_hessian",
     "find_root", "make_benchmark", "make_stochastic_griewank",
-    "mero_objective", "min_abs_eigenvalue", "poly_from_roots", "poly_mero",
+    "mero_objective", "poly_from_roots", "poly_mero",
     "protein_objective", "reflect_inverse_apply", "run", "run_experiment",
     "select_delta", "suite_spec", "zeta_partial",
     "__version__",

@@ -1,7 +1,7 @@
 """Batch experiment runner: cartesian method x start grids with persisted traces.
 
 An experiment is declared as data (JSON or ExperimentSpec), expanded into
-method x initial-point runs on a small worker pool, and reduced to one
+method x initial-point runs, executed one after another, and reduced to one
 ResultRow per run — the same columns the published comparison tables use
 (iterations / f / grad norm / time / outcome).  Every run's full trace is
 written next to the summary so any row can be replayed in detail.
@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,8 +23,6 @@ from .fixtures import (ABBBA_STARTS, GRIEWANK15_X0, ROSENBROCK2_X0,
                        STYBLINSKI100_X0)
 from .objectives import make_benchmark, make_stochastic_griewank
 from .optimizers import METHODS, DeltaSchedule, StopCriteria, run
-
-_MAX_WORKERS = 4
 
 _SCHED_KEYS = ("deltas", "alpha", "h_mode", "selection", "random_interval")
 _STOP_KEYS = ("max_iter", "grad_tol", "step_tol", "f_divergence_cap")
@@ -217,10 +214,8 @@ def run_experiment(spec):
     (out_path / "experiment.json").write_text(spec.to_json())
 
     jobs = [(cfg, x0) for cfg in spec.methods for x0 in spec.initial_points]
-    with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-        futures = [pool.submit(_one_run, spec, obj, cfg, x0, i, out_path)
-                   for i, (cfg, x0) in enumerate(jobs)]
-        rows = [f.result() for f in futures]
+    rows = [_one_run(spec, obj, cfg, x0, i, out_path)
+            for i, (cfg, x0) in enumerate(jobs)]
 
     report = emit_report(rows, "csv")
     (out_path / "rows.csv").write_text(report)

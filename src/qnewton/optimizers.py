@@ -36,7 +36,7 @@ _STEP_FAILURES = (NoValidDeltaError, SingularMatrixError,
                   OverflowError, ZeroDivisionError, FloatingPointError)
 from .objectives.base import Objective
 from .objectives.stochastic import StochasticObjective, sample_batch_objective
-from .spectral import eigh, reflect_inverse_apply
+from .spectral import SpectralDecomposition, eigh, reflect_inverse_apply
 
 # A shifted matrix counts as invertible when its smallest eigenvalue
 # magnitude clears this fraction of the largest.  Purely relative: scaling
@@ -184,17 +184,20 @@ class Trace:
 def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
     """Pick the first acceptable shift; return (delta, A, decomposition).
 
-    The shifted matrix and its spectral decomposition are returned so the
-    caller never recomputes them.  With ``floor=True`` the acceptance bar is
-    min |eig| >= min_gap/2 * h(grad_norm) (the spacing argument: of any
-    m+1 distinct shifts at most m can land an eigenvalue inside the band, so
-    some shift always clears it); otherwise it is the relative
+    H is decomposed once per call.  Shifting by delta*h*I moves every
+    eigenvalue by delta*h and leaves the eigenvectors alone, so each
+    candidate is tested on lambda(H) + delta*h at O(n) cost, and the
+    decomposition of A = H + delta*h*I is returned with H's eigenvectors
+    so the caller never recomputes it.  With ``floor=True`` the acceptance
+    bar is min |eig| >= min_gap/2 * h(grad_norm) (the spacing argument: of
+    any m+1 distinct shifts at most m can land an eigenvalue inside the
+    band, so some shift always clears it); otherwise it is the relative
     EPS_SING_RTOL test.
     """
     sched = sched or DeltaSchedule()
     H = np.asarray(hessian, dtype=float)
     hval = sched.h(grad_norm)
-    eye = np.eye(H.shape[0])
+    dec_H = eigh(H)
 
     if sched.selection == "random-per-iteration":
         if rng is None:
@@ -207,16 +210,17 @@ def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
 
     tried = []
     for delta in candidates:
-        A = H + (delta * hval) * eye
-        dec = eigh(A)
-        mags = np.abs(dec.eigenvalues)
+        lam = dec_H.eigenvalues + delta * hval
+        mags = np.abs(lam)
         amin, amax = float(mags.min()), float(mags.max())
         if floor:
             ok = amin > 0.0 and amin >= 0.5 * sched.min_gap * hval
         else:
             ok = amin > EPS_SING_RTOL * amax
         if ok:
-            return delta, A, dec
+            A = H + (delta * hval) * np.eye(H.shape[0])
+            lam.setflags(write=False)
+            return delta, A, SpectralDecomposition(lam, dec_H.eigenvectors)
         tried.append(delta)
     raise NoValidDeltaError(
         f"no shift produced an invertible matrix (tried {tried})")

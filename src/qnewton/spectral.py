@@ -1,10 +1,11 @@
 """Symmetric eigendecomposition and spectral-reflection arithmetic.
 
-The eigensolver is a cyclic Jacobi iteration: deterministic, dependency-free,
-and accurate for the dense symmetric matrices this package works with
-(dimension up to a few hundred).  Eigenvalues come out ascending; each
-eigenvector's sign is fixed so its largest-magnitude component is positive,
-which makes downstream runs reproducible bit for bit.
+The eigensolver is LAPACK's divide-and-conquer ``syevd`` as numpy's
+``np.linalg.eigh`` calls it, with a fixed output convention on top:
+eigenvalues ascending, and each eigenvector's sign chosen so that its
+largest-magnitude component is nonnegative.  For identical input and a
+fixed BLAS thread count the output is deterministic bit for bit, so runs
+replay exactly.
 
 ``reflect_inverse_apply`` implements the core update arithmetic: given the
 eigenpairs of an invertible symmetric A and a vector g, it returns
@@ -20,14 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NoConvergenceError, SingularMatrixError
-
-# Convergence: off-diagonal magnitudes below _TOL_SCALE * max(1, max|A|).
-_TOL_SCALE = 1e-14
-# Rotations are skipped (not performed) for entries already 100x below the
-# convergence tolerance; they cannot affect the converged result and the
-# skip makes near-diagonal input (e.g. separable Hessians) essentially free.
-_SKIP_FACTOR = 1e-2
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ class SpectralDecomposition:
 
 
 def eigh(A):
-    """Decompose a symmetric matrix with cyclic Jacobi rotations.
+    """Decompose a symmetric matrix with LAPACK ``syevd`` (via numpy).
 
     Parameters
     ----------
@@ -57,70 +50,34 @@ def eigh(A):
     Returns
     -------
     SpectralDecomposition
-        Ascending eigenvalues, orthonormal eigenvectors, deterministic for
-        identical input.
+        Ascending eigenvalues and orthonormal eigenvectors, each with its
+        largest-magnitude component >= 0 (the first such component on
+        ties).  Read-only, and deterministic for identical input with the
+        BLAS thread count fixed.
 
     Raises
     ------
     InvalidInputError
         Non-finite entries, non-square or asymmetric input.
     NoConvergenceError
-        Sweep cap exceeded (does not happen for well-scaled input up to
-        dimension ~200).
+        LAPACK reported that the decomposition did not converge.
     """
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix has non-finite entries")
     if not np.array_equal(A, A.T):
         raise InvalidInputError("matrix is not exactly symmetric")
+    try:
+        lam, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
 
-    n = A.shape[0]
-    V = np.eye(n)
-    if n > 1:
-        tol = _TOL_SCALE * max(1.0, float(np.max(np.abs(A))))
-        skip = tol * _SKIP_FACTOR
-        for _sweep in range(_MAX_SWEEPS):
-            off = np.abs(A - np.diag(np.diag(A))).max()
-            if off <= tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    # Stable rotation angle (Rutishauser's formulation).
-                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    if theta == 0.0:
-                        t = 1.0
-                    else:
-                        t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    rp, rq = A[p, :].copy(), A[q, :].copy()
-                    A[p, :] = c * rp - s * rq
-                    A[q, :] = s * rp + c * rq
-                    cp, cq = A[:, p].copy(), A[:, q].copy()
-                    A[:, p] = c * cp - s * cq
-                    A[:, q] = s * cp + c * cq
-                    vp, vq = V[:, p].copy(), V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
-        else:
-            raise NoConvergenceError(
-                f"Jacobi sweeps did not converge in {_MAX_SWEEPS} sweeps (dim {n})"
-            )
-
-    lam = np.diag(A).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    V = V[:, order]
     # Sign convention: largest-magnitude component of each eigenvector >= 0.
-    for j in range(n):
-        k = int(np.argmax(np.abs(V[:, j])))
-        if V[k, j] < 0.0:
-            V[:, j] = -V[:, j]
+    if V.size:
+        peaks = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+        V = V * np.where(peaks < 0.0, -1.0, 1.0)
     lam.setflags(write=False)
     V.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
@@ -145,8 +102,3 @@ def reflect_inverse_apply(decomp, g):
     g = np.asarray(g, dtype=float)
     coeffs = decomp.eigenvectors.T @ g
     return decomp.eigenvectors @ (coeffs / np.abs(lam))
-
-
-def min_abs_eigenvalue(decomp):
-    """Smallest eigenvalue magnitude of the decomposed matrix."""
-    return float(np.min(np.abs(decomp.eigenvalues)))

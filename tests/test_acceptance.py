@@ -316,10 +316,16 @@ def test_criterion_13_derivative_oracles():
 
 
 def test_criterion_14_stochastic_griewank():
-    # the asserted batch-500 cell runs with the fixture seed; the
-    # blow-up cells are noise-realization-dependent, so they run with a
-    # pinned realization (seed 0) under which all three reproduce the
-    # reported 1e16+-scale divergence — see repo notes for the analysis
+    # the asserted batch-500 cell runs with the fixture seed.  The blow-up
+    # cells depend on the noise realization (and, for a single seed, on
+    # last-bit rounding of the eigensolver), so they are a population
+    # claim: over the realization seeds fixed below, at least
+    # BLOWUP_MIN_COUNT runs per cell end diverged/max-iter at f >= 1e16.
+    # Panel and threshold were fixed before the eigensolver changed; the
+    # threshold is under half the weakest cell of the reference counts
+    # (17/11/15 of 20).  Never re-pick the seeds or tune the threshold.
+    BLOWUP_SEEDS = range(20)
+    BLOWUP_MIN_COUNT = 5
     x0 = np.full(10, 10.0)
     t0 = time.perf_counter()
     obj = make_stochastic_griewank(dim=10, batch_size=500,
@@ -330,13 +336,16 @@ def test_criterion_14_stochastic_griewank():
     detail = [f"batch 500: f={tr.final_f:.1e} in {tr.iterations} iterations"]
 
     for batch, sigma in ((10, 1.0), (100, float(np.sqrt(0.1))), (100, 1.0)):
-        obj = make_stochastic_griewank(dim=10, batch_size=batch,
-                                       sigma=sigma, seed=0)
-        tr = run("nqn", obj, x0, stop=StopCriteria(max_iter=1000))
-        ok = ok and tr.termination in ("diverged", "max-iter")
-        ok = ok and tr.final_f >= 1e16
+        blowups = 0
+        for seed in BLOWUP_SEEDS:
+            obj = make_stochastic_griewank(dim=10, batch_size=batch,
+                                           sigma=sigma, seed=seed)
+            tr = run("nqn", obj, x0, stop=StopCriteria(max_iter=1000))
+            blowups += (tr.termination in ("diverged", "max-iter")
+                        and tr.final_f >= 1e16)
+        ok = ok and blowups >= BLOWUP_MIN_COUNT
         detail.append(f"batch {batch} sigma^2={sigma**2:.1f}: "
-                      f"{tr.termination} f={tr.final_f:.1e}")
+                      f"{blowups}/{len(BLOWUP_SEEDS)} blow-ups")
     wall = time.perf_counter() - t0
     ok = ok and wall < 600.0
     report(14, ok, "; ".join(detail) + f" ({wall:.1f}s)")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +81,31 @@ def test_rerun_is_deterministic(tmp_path):
         return [replace(r, wall_seconds=0.0) for r in run_experiment(spec)]
 
     assert rows_at("a") == rows_at("b")
+
+
+def test_jobs_run_serially_on_the_calling_thread(tmp_path, monkeypatch):
+    import qnewton.harness
+
+    real_run = qnewton.harness.run
+    calls = []
+
+    def recording_run(method, obj, x0, **kwargs):
+        calls.append((threading.get_ident(), method, x0_digest(x0)))
+        return real_run(method, obj, x0, **kwargs)
+
+    monkeypatch.setattr(qnewton.harness, "run", recording_run)
+    starts = [ROSENBROCK2_X0, [-1.2, 1.0], [0.0, 0.0]]
+    spec = rosen2_spec(tmp_path, initial_points=starts,
+                       methods=["nqn", "newton", "backtracking-gd"],
+                       stop={"max_iter": 20})
+    rows = run_experiment(spec)
+
+    expected = [(m, x0_digest(x0)) for m in ("nqn", "newton",
+                                              "backtracking-gd")
+                for x0 in starts]
+    assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+    assert [(m, d) for _, m, d in calls] == expected
+    assert [(r.method, r.x0) for r in rows] == expected
 
 
 def test_rows_match_persisted_traces(tmp_path):

@@ -14,6 +14,7 @@ from qnewton.optimizers import (DeltaSchedule, StopCriteria, backtracking_gd_ste
                                 newton_step, nqn_backtracking_step, nqn_step,
                                 random_damping_newton_step, run, select_delta)
 from qnewton.fixtures import ROSENBROCK2_X0
+from qnewton.spectral import eigh
 
 
 def quadratic_1d():
@@ -122,6 +123,43 @@ def test_select_delta_floor_always_succeeds_on_singular_input():
         delta, _, dec = select_delta(H, gn, sched, floor=True)
         assert np.min(np.abs(dec.eigenvalues)) \
             >= 0.5 * sched.min_gap * sched.h(gn)
+
+
+def test_select_delta_decomposes_once_per_call(monkeypatch):
+    import qnewton.optimizers
+
+    calls = []
+
+    def counting_eigh(A):
+        calls.append(A)
+        return eigh(A)
+
+    monkeypatch.setattr(qnewton.optimizers, "eigh", counting_eigh)
+    # delta=0 leaves the zero eigenvalue in place and is rejected
+    delta, A, dec = select_delta(np.diag([1.0, 0.0]), 1.0, floor=True)
+    assert delta == 1.0
+    assert len(calls) == 1
+    assert_allclose(dec.eigenvalues, [1.0, 2.0], rtol=0, atol=0)
+
+
+def test_select_delta_shifted_spectrum_matches_direct_decomposition():
+    rng = np.random.default_rng(4)
+    cases = [(np.diag([1.0, 0.0]), 1.0)]
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        B = rng.uniform(-5, 5, (n, n))
+        cases.append((0.5 * (B + B.T), float(10.0 ** rng.uniform(-3, 1))))
+    deltas = (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0, 5.0, -5.0, 6.0)
+    for H, gn in cases:
+        sched = DeltaSchedule(deltas=deltas[:H.shape[0] + 1], h_mode="power")
+        delta, A, dec = select_delta(H, gn, sched, floor=True)
+        assert_allclose(A, H + delta * sched.h(gn) * np.eye(H.shape[0]),
+                        rtol=0, atol=0)
+        lam, V = dec.eigenvalues, dec.eigenvectors
+        scale = float(np.max(np.abs(lam)))
+        assert np.all(np.diff(lam) >= 0)
+        assert np.max(np.abs(lam - eigh(A).eigenvalues)) <= 1e-12 * scale
+        assert np.max(np.abs((V * lam) @ V.T - A)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import numpy.linalg as la
 import pytest
 from numpy.testing import assert_allclose
 
-from qnewton.errors import InvalidInputError, SingularMatrixError
-from qnewton.spectral import (SpectralDecomposition, eigh, min_abs_eigenvalue,
-                              reflect_inverse_apply)
+from qnewton.errors import (InvalidInputError, NoConvergenceError,
+                            SingularMatrixError)
+from qnewton.spectral import eigh, reflect_inverse_apply
 
 
 def test_diagonal_matrix():
@@ -45,17 +45,6 @@ def test_dim_one():
     assert_allclose(dec.eigenvalues, [5.0])
     assert_allclose(dec.eigenvectors, [[1.0]])
     assert dec.dim == 1
-
-
-def test_min_abs_eigenvalue():
-    def decomp_for(vals):
-        n = len(vals)
-        return SpectralDecomposition(eigenvalues=np.array(vals, dtype=float),
-                                     eigenvectors=np.eye(n))
-
-    assert min_abs_eigenvalue(decomp_for([-1.0, 3.0])) == 1.0
-    assert min_abs_eigenvalue(decomp_for([0.0, 2.0])) == 0.0
-    assert min_abs_eigenvalue(decomp_for([-0.25, -7.0, 4.0])) == 0.25
 
 
 def test_reflect_identity():
@@ -121,6 +110,25 @@ def test_random_matrices_orthonormal_and_reconstruct():
         recon = (V * lam) @ V.T
         bound = 1e-9 * max(1.0, float(np.max(np.abs(A))))
         assert np.max(np.abs(recon - A)) <= bound
+
+
+def test_sign_convention_on_random_matrices():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        B = rng.uniform(-10.0, 10.0, (n, n))
+        V = eigh(0.5 * (B + B.T)).eigenvectors
+        for j in range(n):
+            assert V[int(np.argmax(np.abs(V[:, j]))), j] >= 0.0
+
+
+def test_lapack_failure_is_no_convergence(monkeypatch):
+    def failing_eigh(A):
+        raise la.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(la, "eigh", failing_eigh)
+    with pytest.raises(NoConvergenceError):
+        eigh(np.eye(3))
 
 
 def test_reflect_matches_brute_force_oracle():
