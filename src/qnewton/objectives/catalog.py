@@ -36,6 +36,19 @@ def _exclusion_products(C):
     return L * R
 
 
+def _pairwise_exclusion_products(C):
+    """Products of C excluding two entries at a time (no division).
+
+    C has shape (d,); returns shape (d, d) where entry [a, b], a != b, is the
+    product over all entries except a and b.  Row a is C with C[a] set to 1,
+    reduced by the prefix/suffix products of ``_exclusion_products``; the
+    diagonal [a, a] is therefore the product excluding a alone.
+    """
+    M = np.tile(C, (C.size, 1))
+    np.fill_diagonal(M, 1.0)
+    return _exclusion_products(M)
+
+
 # --------------------------------------------------------------------------
 # factories
 # --------------------------------------------------------------------------
@@ -446,14 +459,8 @@ def _griewank(dim, params):
         u = x / rs
         C, S = np.cos(u), np.sin(u)
         P = float(np.prod(C))
-        n = x.size
-        H = np.empty((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                mask = np.ones(n, dtype=bool)
-                mask[a] = mask[b] = False
-                pab = float(np.prod(C[mask]))
-                H[a, b] = H[b, a] = -(S[a] * S[b]) / (rs[a] * rs[b]) * pab
+        T = S / rs
+        H = -np.outer(T, T) * _pairwise_exclusion_products(C)
         np.fill_diagonal(H, 1.0 / 2000.0 + P / idx)
         return H
 

@@ -11,6 +11,7 @@ from qnewton.objectives import (Objective, catalog_entries, catalog_listing,
                                 normal_sampler, pair_coupling, parse_sequence,
                                 protein_energy, protein_objective,
                                 sample_batch_objective)
+from qnewton.objectives.catalog import _pairwise_exclusion_products
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,61 @@ def test_griewank_nonnegative():
         assert obj.value(rng.uniform(-50, 50, 6)) >= 0.0
 
 
+def _griewank_hessian_loop(x):
+    """Griewank Hessian one pair at a time: the reference for the vectorized
+    ``hess``, which multiplies the same factors in another order."""
+    n = x.size
+    idx = np.arange(1, n + 1, dtype=float)
+    rs = np.sqrt(idx)
+    u = x / rs
+    C, S = np.cos(u), np.sin(u)
+    P = float(np.prod(C))
+    H = np.empty((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            mask = np.ones(n, dtype=bool)
+            mask[a] = mask[b] = False
+            pab = float(np.prod(C[mask]))
+            H[a, b] = H[b, a] = -(S[a] * S[b]) / (rs[a] * rs[b]) * pab
+    np.fill_diagonal(H, 1.0 / 2000.0 + P / idx)
+    return H
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 15, 30])
+def test_griewank_hessian_matches_loop_reference(dim):
+    obj = make_benchmark("griewank", dim)
+    rng = np.random.default_rng(dim)
+    off = ~np.eye(dim, dtype=bool)
+    for _ in range(50):
+        x = rng.uniform(-20, 20, dim)
+        H, ref = obj.hessian(x), _griewank_hessian_loop(x)
+        # the diagonal's arithmetic is unchanged, so it matches bit for bit;
+        # the off-diagonal tolerance comes from the dtype and is not tuned
+        assert np.array_equal(np.diag(H), np.diag(ref))
+        tol = 64 * np.finfo(float).eps * np.abs(ref).max()
+        assert np.all(np.abs(H - ref)[off] <= tol)
+
+
+@pytest.mark.parametrize("C", [
+    [0.75],
+    [0.5, -0.25],
+    [0.5, -0.25, 0.75, 2.0],
+    [0.5, 0.0, 0.75, -2.0],           # one exact zero
+    [0.0, -0.25, 0.75, 0.0, 1.5],     # two exact zeros
+])
+def test_pairwise_exclusion_products_brute_force(C):
+    # dyadic entries make every product exact, so any order must agree
+    C = np.array(C)
+    d = C.size
+    E = _pairwise_exclusion_products(C)
+    assert E.shape == (d, d)
+    for a in range(d):
+        assert E[a, a] == np.prod(np.delete(C, a))
+        for b in range(d):
+            if a != b:
+                assert E[a, b] == np.prod(np.delete(C, [a, b]))
+
+
 def test_styblinski_tang_known_band():
     obj = make_benchmark("styblinski-tang", 100)
     v = obj.value(np.full(100, -2.903534))
@@ -125,7 +181,8 @@ def test_default_starts():
 
 def test_analytic_derivatives_spot_check():
     rng = np.random.default_rng(9)
-    for name, dim in (("griewank", 3), ("styblinski-tang", 4)):
+    for name, dim in (("griewank", 3), ("griewank", 15),
+                      ("styblinski-tang", 4)):
         obj = make_benchmark(name, dim)
         assert obj.analytic_gradient and obj.analytic_hessian
         for _ in range(5):
