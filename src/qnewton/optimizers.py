@@ -18,8 +18,8 @@ import csv
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ import numpy as np
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      NoValidDeltaError, SingularMatrixError,
                      StalledLineSearchError)
+from .objectives.stochastic import StochasticObjective, sample_batch_objective
+from .spectral import SpectralDecomposition, eigh, reflect_inverse_apply
 
 # Step failures that end a run with a "numerical-error" status instead of
 # propagating: everything that floating-point evaluation or the update rule
@@ -34,9 +36,6 @@ from .errors import (DomainError, InvalidInputError, NoConvergenceError,
 _STEP_FAILURES = (NoValidDeltaError, SingularMatrixError,
                   StalledLineSearchError, NoConvergenceError, DomainError,
                   OverflowError, ZeroDivisionError, FloatingPointError)
-from .objectives.base import Objective
-from .objectives.stochastic import StochasticObjective, sample_batch_objective
-from .spectral import SpectralDecomposition, eigh, reflect_inverse_apply
 
 # A shifted matrix counts as invertible when its smallest eigenvalue
 # magnitude clears this fraction of the largest.  Purely relative: scaling
@@ -141,6 +140,9 @@ class Trace:
     records: list
     termination: str
     seed: int | None = None
+    # class name of the exception behind a "numerical-error" termination
+    # (None when the run stopped on a non-finite iterate instead)
+    error_class: str | None = None
 
     @property
     def iterations(self):
@@ -169,6 +171,7 @@ class Trace:
                 w.writerow([r.index, repr(r.f), repr(r.grad_norm),
                             "" if r.delta_used is None else repr(r.delta_used),
                             repr(r.step_norm), r.ls_backtracks, r.wall_ns])
+        kind, _, detail = self.termination.partition(": ")
         sidecar = {
             "termination": self.termination,
             "iterations": self.iterations,
@@ -176,7 +179,10 @@ class Trace:
             "final_f": self.final_f,
             "final_grad_norm": self.final_grad_norm,
             "seed": self.seed,
+            "termination_kind": kind,
         }
+        if kind == "numerical-error":
+            sidecar["error"] = {"class": self.error_class, "detail": detail}
         path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
         return path
 
@@ -231,33 +237,30 @@ def _grad_and_norm(obj, x):
     return g, float(np.linalg.norm(g))
 
 
-def _partial_record(x, f, grad_norm, delta, step_norm, backtracks):
-    return IterationRecord(-1, x, f, grad_norm, delta, step_norm,
+def _partial_record(x, f, delta, step_norm, backtracks):
+    return IterationRecord(-1, x, f, float("nan"), delta, step_norm,
                            backtracks, 0)
 
 
-def nqn_step(obj, x, sched=None, rng=None, state=None):
+# Step contract: step(obj, x, f(x), grad f(x), |grad f(x)|, sched, rng,
+# state) returns (x_next, record) with record.f = f(x_next).  run evaluates
+# the gradient at x_next, so no step calls obj.gradient.
+
+def nqn_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """One shifted-reflected-Newton update; returns (x_next, record)."""
-    sched = sched or DeltaSchedule()
-    g, gn = _grad_and_norm(obj, x)
     delta, _, dec = select_delta(obj.hessian(x), gn, sched, rng)
     w = reflect_inverse_apply(dec, g)
     x1 = x - w
-    f1 = obj.value(x1)
-    _, gn1 = _grad_and_norm(obj, x1)
-    return x1, _partial_record(x1, f1, gn1, delta,
+    return x1, _partial_record(x1, obj.value(x1), delta,
                                float(np.linalg.norm(w)), 0)
 
 
-def nqn_backtracking_step(obj, x, sched=None, rng=None, state=None):
+def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """Shifted-reflected update with an eigenvalue floor and Armijo halving.
 
     The floor keeps |A^-1| bounded by 2/(min_gap*h); halving the step until
     f(x - beta*w) <= f(x) - beta/2 * <w, grad f> then guarantees descent.
     """
-    sched = sched or DeltaSchedule()
-    g, gn = _grad_and_norm(obj, x)
-    f0 = obj.value(x)
     delta, _, dec = select_delta(obj.hessian(x), gn, sched, rng, floor=True)
     w = reflect_inverse_apply(dec, g)
     wg = float(w @ g)            # nonnegative by construction
@@ -265,66 +268,51 @@ def nqn_backtracking_step(obj, x, sched=None, rng=None, state=None):
     for halvings in range(_MAX_HALVINGS + 1):
         x1 = x - beta * w
         f1 = obj.value(x1)
-        if f1 - f0 <= -0.5 * beta * wg:
-            _, gn1 = _grad_and_norm(obj, x1)
-            return x1, _partial_record(x1, f1, gn1, delta,
+        if f1 - f <= -0.5 * beta * wg:
+            return x1, _partial_record(x1, f1, delta,
                                        beta * float(np.linalg.norm(w)),
                                        halvings)
         beta *= 0.5
     raise StalledLineSearchError(
-        f"no Armijo step after {_MAX_HALVINGS} halvings (f={f0!r})")
+        f"no Armijo step after {_MAX_HALVINGS} halvings (f={f!r})")
 
 
-def newton_step(obj, x, sched=None, rng=None, state=None):
-    """Classical Newton through the same spectral path (signed eigenvalues)."""
-    g, gn = _grad_and_norm(obj, x)
+def newton_step(obj, x, f, g, gn, sched=None, rng=None, state=None,
+                damped=False):
+    """Classical Newton through the same spectral path (signed eigenvalues).
+
+    With ``damped`` the step is scaled by a fresh uniform draw from (0, 2),
+    recorded as the record's delta.
+    """
     dec = eigh(obj.hessian(x))
     mags = np.abs(dec.eigenvalues)
     if float(mags.min()) <= EPS_SING_RTOL * float(mags.max()):
-        raise SingularMatrixError("singular Hessian in Newton update")
+        raise SingularMatrixError(
+            f"singular Hessian in {'damped ' if damped else ''}Newton update")
     E = dec.eigenvectors
-    w = E @ ((E.T @ g) / dec.eigenvalues)
-    x1 = x - w
-    f1 = obj.value(x1)
-    _, gn1 = _grad_and_norm(obj, x1)
-    return x1, _partial_record(x1, f1, gn1, None,
-                               float(np.linalg.norm(w)), 0)
-
-
-def random_damping_newton_step(obj, x, sched=None, rng=None, state=None):
-    """Newton step scaled by a fresh uniform damping factor in (0, 2)."""
-    if rng is None:
-        rng = np.random.default_rng()
-    g, gn = _grad_and_norm(obj, x)
-    dec = eigh(obj.hessian(x))
-    mags = np.abs(dec.eigenvalues)
-    if float(mags.min()) <= EPS_SING_RTOL * float(mags.max()):
-        raise SingularMatrixError("singular Hessian in damped Newton update")
-    E = dec.eigenvectors
-    damping = float(rng.uniform(0.0, 2.0))
+    damping = float(rng.uniform(0.0, 2.0)) if damped else 1.0
     w = damping * (E @ ((E.T @ g) / dec.eigenvalues))
     x1 = x - w
-    f1 = obj.value(x1)
-    _, gn1 = _grad_and_norm(obj, x1)
-    return x1, _partial_record(x1, f1, gn1, damping,
+    return x1, _partial_record(x1, obj.value(x1), damping if damped else None,
                                float(np.linalg.norm(w)), 0)
 
 
-def backtracking_gd_step(obj, x, sched=None, rng=None, state=None):
+def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """Two-way backtracking gradient descent with an unbounded start.
 
     The learning rate carries over between iterations; each iteration may
     grow it (divide by 0.7 while the Armijo test keeps passing, up to
     max(1, grad_norm^-1/2)) or shrink it (multiply by 0.7 until the test
-    passes).  Armijo test: f(x - lr*g) - f(x) <= -lr/2 * |g|^2.
+    passes).  Armijo test: f(x - lr*g) - f(x) <= -lr/2 * |g|^2.  The
+    accepted probe's value is the record's f.
     """
     state = state if state is not None else {}
-    g, gn = _grad_and_norm(obj, x)
-    f0 = obj.value(x)
     gg = gn * gn
+    probed = {}                  # learning rate -> f(x - lr*g)
 
     def armijo(lr):
-        return obj.value(x - lr * g) - f0 <= -0.5 * lr * gg
+        probed[lr] = obj.value(x - lr * g)
+        return probed[lr] - f <= -0.5 * lr * gg
 
     cap = max(1.0, gn ** -0.5) if gn > 0 else 1.0
     lr = min(float(state.get("lr", 1.0)), cap)
@@ -345,16 +333,14 @@ def backtracking_gd_step(obj, x, sched=None, rng=None, state=None):
                 f"no Armijo learning rate after {_GD_MAX_SHRINKS} shrinks")
     state["lr"] = lr
     x1 = x - lr * g
-    f1 = obj.value(x1)
-    _, gn1 = _grad_and_norm(obj, x1)
-    return x1, _partial_record(x1, f1, gn1, lr, lr * gn, backtracks)
+    return x1, _partial_record(x1, probed[lr], lr, lr * gn, backtracks)
 
 
 METHODS = {
     "nqn": nqn_step,
     "nqn-backtracking": nqn_backtracking_step,
     "newton": newton_step,
-    "random-damping-newton": random_damping_newton_step,
+    "random-damping-newton": partial(newton_step, damped=True),
     "backtracking-gd": backtracking_gd_step,
 }
 
@@ -382,7 +368,8 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
 
     ``obj`` may be a StochasticObjective, in which case update k works on
     the mini-batch drawn for step index k-1 and each record's f/grad_norm
-    are evaluated on the batch the *next* step will see.
+    are evaluated on the batch the *next* step will see.  The gradient is
+    evaluated here, once per point, and handed to the next step with f.
     """
     if method not in METHODS:
         raise InvalidInputError(
@@ -407,30 +394,35 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
 
     cur = sample_batch_objective(obj, 0) if stochastic else obj
     try:
-        f0 = cur.value(x)
-        g0, gn0 = _grad_and_norm(cur, x)
+        f = cur.value(x)
+        g, gn = _grad_and_norm(cur, x)
     except _STEP_FAILURES as exc:
         raise InvalidInputError(f"objective undefined at x0: {exc}") from exc
-    records = [IterationRecord(0, x.copy(), f0, gn0, None, 0.0, 0, 0)]
+    records = [IterationRecord(0, x.copy(), f, gn, None, 0.0, 0, 0)]
     termination = _classify(records[0], stop)
+    error_class = None
 
     k = 0
     while termination is None and k < stop.max_iter:
         k += 1
         t0 = time.perf_counter_ns()
         try:
-            x, rec = step(cur, x, sched, rng, state)
+            x, rec = step(cur, x, f, g, gn, sched, rng, state)
+            if stochastic:
+                cur = sample_batch_objective(obj, k)
+                rec.f = cur.value(x)
+            f = rec.f
+            g, gn = _grad_and_norm(cur, x)
         except _STEP_FAILURES as exc:
             termination = f"numerical-error: {exc}"
+            error_class = type(exc).__name__
             break
         rec.wall_ns = time.perf_counter_ns() - t0
         rec.index = k
-        if stochastic:
-            cur = sample_batch_objective(obj, k)
-            rec.f = cur.value(rec.x)
-            _, rec.grad_norm = _grad_and_norm(cur, rec.x)
+        rec.grad_norm = gn
         records.append(rec)
         termination = _classify(rec, stop)
     if termination is None:
         termination = "max-iter"
-    return Trace(records=records, termination=termination, seed=seed)
+    return Trace(records=records, termination=termination, seed=seed,
+                 error_class=error_class)

@@ -3,16 +3,20 @@
 import csv
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qnewton.errors import InvalidInputError, NoValidDeltaError
-from qnewton.objectives import Objective, make_benchmark
-from qnewton.optimizers import (DeltaSchedule, StopCriteria, backtracking_gd_step,
-                                newton_step, nqn_backtracking_step, nqn_step,
-                                random_damping_newton_step, run, select_delta)
+from qnewton.objectives import (Objective, make_benchmark,
+                                make_stochastic_griewank,
+                                sample_batch_objective)
+from qnewton.optimizers import (METHODS, DeltaSchedule, StopCriteria,
+                                backtracking_gd_step, newton_step,
+                                nqn_backtracking_step, nqn_step, run,
+                                select_delta)
 from qnewton.fixtures import ROSENBROCK2_X0
 from qnewton.spectral import eigh
 
@@ -22,6 +26,29 @@ def quadratic_1d():
                      gradient=lambda x: np.array([x[0]]),
                      hessian=lambda x: np.array([[1.0]]),
                      name="half-square", smooth=True)
+
+
+def at(obj, x):
+    """The step arguments (x, f, grad f, |grad f|) for the point x."""
+    x = np.asarray(x, dtype=float)
+    g = obj.gradient(x)
+    return x, obj.value(x), g, float(np.linalg.norm(g))
+
+
+def counting(obj):
+    """``obj`` with its value and gradient calls counted."""
+    calls = Counter()
+
+    def counted(kind, fn):
+        def call(x):
+            calls[kind] += 1
+            return fn(x)
+        return call
+
+    wrapped = Objective(obj.dim, counted("value", obj.value),
+                        gradient=counted("gradient", obj.gradient),
+                        hessian=obj.hessian, name=obj.name)
+    return wrapped, calls
 
 
 # ---------------------------------------------------------------------------
@@ -167,27 +194,28 @@ def test_select_delta_shifted_spectrum_matches_direct_decomposition():
 # ---------------------------------------------------------------------------
 
 def test_nqn_step_quadratic_exact():
-    x1, rec = nqn_step(quadratic_1d(), np.array([1.0]))
+    x1, rec = nqn_step(quadratic_1d(), *at(quadratic_1d(), [1.0]))
     assert x1[0] == 0.0
     assert rec.delta_used == 0.0
 
 
 def test_nqn_step_saddle_escape():
     obj = make_benchmark("saddle")
-    x1, rec = nqn_step(obj, np.array([0.3, 0.7]))
+    x1, rec = nqn_step(obj, *at(obj, [0.3, 0.7]))
     assert_allclose(x1, [0.0, 1.4], atol=0)
     assert rec.delta_used == 0.0
 
 
 def test_nqn_backtracking_quadratic_full_step():
-    x1, rec = nqn_backtracking_step(quadratic_1d(), np.array([1.0]))
+    x1, rec = nqn_backtracking_step(quadratic_1d(),
+                                     *at(quadratic_1d(), [1.0]))
     assert x1[0] == 0.0
     assert rec.ls_backtracks == 0
 
 
 def test_newton_step_quadratic():
     obj = make_benchmark("ex12")  # x^2 + y^2 + 4xy, critical point at 0
-    x1, _ = newton_step(obj, np.array([1.3, -0.4]))
+    x1, _ = newton_step(obj, *at(obj, [1.3, -0.4]))
     assert_allclose(x1, [0.0, 0.0], atol=1e-12)
 
 
@@ -206,8 +234,9 @@ def test_random_damping_equals_newton_when_forced():
 
     obj = make_benchmark("rosenbrock", 2)
     x = np.array([0.3, -0.2])
-    x_newton, _ = newton_step(obj, x)
-    x_damped, rec = random_damping_newton_step(obj, x, rng=Unit())
+    x_newton, _ = newton_step(obj, *at(obj, x))
+    x_damped, rec = METHODS["random-damping-newton"](obj, *at(obj, x),
+                                                     rng=Unit())
     assert np.array_equal(x_newton, x_damped)
     assert rec.delta_used == 1.0
 
@@ -226,8 +255,8 @@ def test_random_damping_contracts_to_saddle_along_ray():
 
 def test_backtracking_gd_quadratic_unit_step():
     state = {}
-    x1, rec = backtracking_gd_step(quadratic_1d(), np.array([1.0]),
-                                   state=state)
+    x1, rec = backtracking_gd_step(quadratic_1d(),
+                                   *at(quadratic_1d(), [1.0]), state=state)
     assert x1[0] == 0.0
     assert state["lr"] == 1.0
     assert rec.ls_backtracks == 0
@@ -237,7 +266,7 @@ def test_backtracking_gd_grows_to_cap_on_shallow_slope():
     obj = Objective(1, lambda x: 0.01 * x[0],
                     gradient=lambda x: np.array([0.01]), name="shallow")
     state = {}
-    backtracking_gd_step(obj, np.array([0.0]), state=state)
+    backtracking_gd_step(obj, *at(obj, [0.0]), state=state)
     cap = 0.01 ** -0.5
     assert 1.0 < state["lr"] <= cap
 
@@ -246,9 +275,9 @@ def test_backtracking_gd_learning_rate_persists():
     obj = make_benchmark("rosenbrock", 2)
     state = {}
     x = np.asarray(ROSENBROCK2_X0, dtype=float)
-    backtracking_gd_step(obj, x, state=state)
+    backtracking_gd_step(obj, *at(obj, x), state=state)
     first = state["lr"]
-    backtracking_gd_step(obj, x, state=state)
+    backtracking_gd_step(obj, *at(obj, x), state=state)
     assert state["lr"] != 1.0 or first != 1.0
 
 
@@ -383,6 +412,41 @@ def test_random_schedule_selection_converges():
                for r in trace.records[1:])
 
 
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_each_point_evaluated_once(method):
+    obj, calls = counting(make_benchmark("rosenbrock", 2))
+    trace = run(method, obj, np.asarray(ROSENBROCK2_X0), seed=0,
+                stop=StopCriteria(max_iter=20))
+    records = trace.records
+    assert calls["gradient"] == len(records)
+    if method != "backtracking-gd":
+        assert calls["value"] == len(records) + sum(r.ls_backtracks
+                                                     for r in records)
+    # reusing f and grad f gives what a fresh evaluation at x gives
+    fresh = make_benchmark("rosenbrock", 2)
+    for rec in records:
+        assert rec.f == fresh.value(rec.x)
+        assert rec.grad_norm == float(np.linalg.norm(fresh.gradient(rec.x)))
+
+
+def test_backtracking_gd_keeps_the_accepted_probe_value():
+    obj, calls = counting(quadratic_1d())
+    trace = run("backtracking-gd", obj, np.array([1.0]),
+                stop=StopCriteria(max_iter=1))
+    assert trace.iterations == 1
+    assert calls["value"] == 2            # f(x0) and the one Armijo probe
+
+
+def test_stochastic_records_match_fresh_batch_evaluation():
+    obj = make_stochastic_griewank(dim=2, batch_size=20, sigma=0.3, seed=5)
+    trace = run("nqn", obj, np.full(2, 3.0), stop=StopCriteria(max_iter=8))
+    assert trace.iterations == 8
+    for rec in trace.records:
+        batch = sample_batch_objective(obj, rec.index)
+        assert rec.f == batch.value(rec.x)
+        assert rec.grad_norm == float(np.linalg.norm(batch.gradient(rec.x)))
+
+
 def test_unknown_method_rejected():
     with pytest.raises(InvalidInputError):
         run("sgd", make_benchmark("rosenbrock", 2), np.zeros(2))
@@ -417,3 +481,19 @@ def test_trace_csv_roundtrip(tmp_path):
     assert sidecar["termination"] == trace.termination
     assert sidecar["final_f"] == trace.final_f
     assert_allclose(sidecar["final_x"], trace.final_x)
+    assert sidecar["termination_kind"] == "converged"
+    assert "error" not in sidecar
+
+    spread = Objective(2, lambda x: float(x[0]),
+                       gradient=lambda x: np.array([1.0, 0.0]),
+                       hessian=lambda x: np.diag([0.0, 1e15]), name="spread")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trace = run("nqn", spread, np.array([0.0, 0.0]))
+    trace.to_csv(tmp_path / "failed.csv")
+    sidecar = json.loads((tmp_path / "failed.json").read_text())
+    assert sidecar["termination"] == trace.termination
+    assert sidecar["termination_kind"] == "numerical-error"
+    assert sidecar["error"]["class"] == "NoValidDeltaError"
+    assert sidecar["error"]["detail"].startswith("no shift produced")
+    assert trace.termination == "numerical-error: " + sidecar["error"]["detail"]
