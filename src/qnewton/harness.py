@@ -7,7 +7,9 @@ ResultRow per run — the same columns the published comparison tables use
 written next to the summary so any row can be replayed in detail.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 import time
@@ -236,10 +238,11 @@ def emit_report(rows, format="csv"):
     """Render ResultRows as CSV or a markdown table (6 significant digits)."""
     cells = [[_fmt(getattr(r, c)) for c in _COLUMNS] for r in rows]
     if format == "csv":
-        lines = [",".join(_COLUMNS)]
-        lines += [",".join(f'"{c}"' if "," in c else c for c in row)
-                  for row in cells]
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        writer.writerows(cells)
+        return out.getvalue()
     if format in ("markdown", "markdown-table"):
         widths = [max(len(col), *(len(row[i]) for row in cells), 1)
                   if cells else len(col)

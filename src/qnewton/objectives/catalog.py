@@ -130,7 +130,8 @@ def _exp_sq_minus_cubic(dim, params):
 
 
 def _rosenbrock_value(x):
-    return float(np.sum((x[:-1] - 1.0) ** 2 + 100.0 * (x[1:] - x[:-1] ** 2) ** 2))
+    return float(((x[:-1] - 1.0) ** 2
+                  + 100.0 * (x[1:] - x[:-1] ** 2) ** 2).sum())
 
 
 def _rosenbrock_grad(x):

@@ -16,6 +16,7 @@ shared trace format.
 
 import csv
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -232,9 +233,18 @@ def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
         f"no shift produced an invertible matrix (tried {tried})")
 
 
+def _norm(v):
+    """Euclidean norm of a real 1-d array: the bits of np.linalg.norm(v).
+
+    np.linalg.norm computes sqrt(v.dot(v)) for this case; calling it costs
+    several microseconds of argument handling, this costs one dot.
+    """
+    return math.sqrt(v @ v)
+
+
 def _grad_and_norm(obj, x):
     g = obj.gradient(x)
-    return g, float(np.linalg.norm(g))
+    return g, _norm(g)
 
 
 def _partial_record(x, f, delta, step_norm, backtracks):
@@ -243,16 +253,18 @@ def _partial_record(x, f, delta, step_norm, backtracks):
 
 
 # Step contract: step(obj, x, f(x), grad f(x), |grad f(x)|, sched, rng,
-# state) returns (x_next, record) with record.f = f(x_next).  run evaluates
-# the gradient at x_next, so no step calls obj.gradient.
+# state) returns (x_next, record).  A line-search step sets record.f to the
+# value of its accepted probe, f(x_next); the others leave it None.  run
+# evaluates the gradient at x_next, and f too unless the step supplied it
+# on a deterministic objective, so no step calls obj.gradient and no point
+# is evaluated twice.
 
 def nqn_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """One shifted-reflected-Newton update; returns (x_next, record)."""
     delta, _, dec = select_delta(obj.hessian(x), gn, sched, rng)
     w = reflect_inverse_apply(dec, g)
     x1 = x - w
-    return x1, _partial_record(x1, obj.value(x1), delta,
-                               float(np.linalg.norm(w)), 0)
+    return x1, _partial_record(x1, None, delta, _norm(w), 0)
 
 
 def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
@@ -269,8 +281,7 @@ def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
         x1 = x - beta * w
         f1 = obj.value(x1)
         if f1 - f <= -0.5 * beta * wg:
-            return x1, _partial_record(x1, f1, delta,
-                                       beta * float(np.linalg.norm(w)),
+            return x1, _partial_record(x1, f1, delta, beta * _norm(w),
                                        halvings)
         beta *= 0.5
     raise StalledLineSearchError(
@@ -293,8 +304,8 @@ def newton_step(obj, x, f, g, gn, sched=None, rng=None, state=None,
     damping = float(rng.uniform(0.0, 2.0)) if damped else 1.0
     w = damping * (E @ ((E.T @ g) / dec.eigenvalues))
     x1 = x - w
-    return x1, _partial_record(x1, obj.value(x1), damping if damped else None,
-                               float(np.linalg.norm(w)), 0)
+    return x1, _partial_record(x1, None, damping if damped else None,
+                               _norm(w), 0)
 
 
 def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
@@ -349,12 +360,12 @@ _USES_DELTAS = ("nqn", "nqn-backtracking")
 
 def _classify(rec, stop):
     """Termination decision for the newest record, or None to continue."""
-    bad = not np.isfinite(rec.grad_norm) or np.isnan(rec.f) \
-        or np.any(np.isnan(rec.x))
-    if bad:
+    f = rec.f
+    if not math.isfinite(rec.grad_norm) or math.isnan(f) \
+            or np.isnan(rec.x).any():
         return "numerical-error: non-finite iterate"
-    if rec.f > stop.f_divergence_cap or np.isinf(rec.f) \
-            or float(np.linalg.norm(rec.x)) > X_DIVERGENCE_CAP:
+    if f > stop.f_divergence_cap or math.isinf(f) \
+            or _norm(rec.x) > X_DIVERGENCE_CAP:
         return "diverged"
     if rec.grad_norm <= stop.grad_tol:
         return "converged"
@@ -369,7 +380,8 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
     ``obj`` may be a StochasticObjective, in which case update k works on
     the mini-batch drawn for step index k-1 and each record's f/grad_norm
     are evaluated on the batch the *next* step will see.  The gradient is
-    evaluated here, once per point, and handed to the next step with f.
+    evaluated here, once per point, and handed to the next step with f; f
+    is evaluated here too unless a line search already has it.
     """
     if method not in METHODS:
         raise InvalidInputError(
@@ -410,6 +422,7 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
             x, rec = step(cur, x, f, g, gn, sched, rng, state)
             if stochastic:
                 cur = sample_batch_objective(obj, k)
+            if stochastic or rec.f is None:
                 rec.f = cur.value(x)
             f = rec.f
             g, gn = _grad_and_norm(cur, x)

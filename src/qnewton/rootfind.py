@@ -13,6 +13,7 @@ escape them.
 import cmath
 import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,11 @@ POLE_GUARD = 1e50
 
 @dataclass(frozen=True)
 class MeroFunction:
-    """g with its first two complex derivatives and a near-pole threshold."""
+    """g with its first two complex derivatives and a near-pole threshold.
+
+    The callables are used as given.  The builders below (and ``builtin``)
+    make g, g' and g'' share one evaluation of their triple per point.
+    """
 
     g: object
     g1: object
@@ -133,6 +138,48 @@ def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None,
 # evaluators
 # --------------------------------------------------------------------------
 
+def _point_key(z):
+    """Bit-exact identity of a scalar point, or None when it is not cached.
+
+    The type is part of the key: a float, a complex and a numpy scalar with
+    equal values can give different bits or result types.  Values are
+    compared by their bytes, so -0.0 and 0.0 stay apart.
+    """
+    t = type(z)
+    if t is complex:
+        return t, struct.pack("<dd", z.real, z.imag)
+    if t is float:
+        return t, struct.pack("<d", z)
+    if isinstance(z, np.generic):
+        return t, z.tobytes()
+    return None
+
+
+def _shared_triple(triple, name):
+    """A MeroFunction whose g, g' and g'' share one evaluation per point.
+
+    ``triple(z)`` returns (g, g', g'') together.  The most recent point's
+    triple is kept, so the value, gradient and Hessian of |g|^2 at one
+    point (and the classification at the end of a run) evaluate it once.
+    A call that raises caches nothing; an input with no key is not cached.
+    """
+    last = [(None, None)]        # (key, triple) of the latest point
+
+    def at(z):
+        key = _point_key(z)
+        last_key, vals = last[0]
+        if key is None or key != last_key:
+            vals = triple(z)
+            if key is not None:
+                last[0] = (key, vals)
+        return vals
+
+    return MeroFunction(g=lambda z: at(z)[0],
+                        g1=lambda z: at(z)[1],
+                        g2=lambda z: at(z)[2],
+                        name=name)
+
+
 def poly_mero(coeffs, name=""):
     """Polynomial from coefficients, highest degree first (Horner triple)."""
     coeffs = [complex(c) for c in coeffs]
@@ -149,10 +196,7 @@ def poly_mero(coeffs, name=""):
             b = b * z + c
         return b, d, 2.0 * e
 
-    return MeroFunction(g=lambda z: triple(z)[0],
-                        g1=lambda z: triple(z)[1],
-                        g2=lambda z: triple(z)[2],
-                        name=name or "poly")
+    return _shared_triple(triple, name or "poly")
 
 
 def poly_from_roots(root_mults, name=""):
@@ -176,10 +220,7 @@ def poly_from_roots(root_mults, name=""):
                          v * u2 + 2.0 * d1 * u1 + d2 * u)
         return v, d1, d2
 
-    return MeroFunction(g=lambda z: triple(z)[0],
-                        g1=lambda z: triple(z)[1],
-                        g2=lambda z: triple(z)[2],
-                        name=name or "poly-factored")
+    return _shared_triple(triple, name or "poly-factored")
 
 
 def zeta_partial(n_terms, name=""):
@@ -188,31 +229,13 @@ def zeta_partial(n_terms, name=""):
         raise InvalidInputError("need at least one term")
     lns = np.log(np.arange(1, n_terms + 1, dtype=float))
 
-    def g(z):
-        return complex(np.sum(np.exp(-lns * z)))
-
-    def g1(z):
-        return complex(np.sum(-lns * np.exp(-lns * z)))
-
-    def g2(z):
-        return complex(np.sum(lns * lns * np.exp(-lns * z)))
-
-    return MeroFunction(g=g, g1=g1, g2=g2,
-                        name=name or f"zeta-partial-{n_terms}")
-
-
-def _exp_poly(coeffs):
-    """p(z) = sum_k coeffs[k] * exp(-k z) with derivative triple."""
-    ks = np.arange(len(coeffs), dtype=float)
-    cs = np.asarray(coeffs, dtype=float)
-
     def triple(z):
-        e = np.exp(-ks * z)
-        return (complex(np.sum(cs * e)),
-                complex(np.sum(-ks * cs * e)),
-                complex(np.sum(ks * ks * cs * e)))
+        e = np.exp(-lns * z)
+        return (complex(np.sum(e)),
+                complex(np.sum(-lns * e)),
+                complex(np.sum(lns * lns * e)))
 
-    return triple
+    return _shared_triple(triple, name or f"zeta-partial-{n_terms}")
 
 
 def exp_rational_derivative(p_coeffs, q_coeffs, name=""):
@@ -246,10 +269,7 @@ def exp_rational_derivative(p_coeffs, q_coeffs, name=""):
                 M / q0 ** 3,
                 (M1 * q0 - 3.0 * M * q1) / q0 ** 4)
 
-    return MeroFunction(g=lambda z: triple(z)[0],
-                        g1=lambda z: triple(z)[1],
-                        g2=lambda z: triple(z)[2],
-                        name=name or "exp-rational-derivative")
+    return _shared_triple(triple, name or "exp-rational-derivative")
 
 
 # The printed z^18 in the degree-8 slot of this coefficient list is a typo:

@@ -65,9 +65,9 @@ def eigh(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInputError("matrix has non-finite entries")
-    if not np.array_equal(A, A.T):
+    if not (A == A.T).all():
         raise InvalidInputError("matrix is not exactly symmetric")
     try:
         lam, V = np.linalg.eigh(A)
@@ -97,7 +97,7 @@ def reflect_inverse_apply(decomp, g):
         responsible for never letting that happen).
     """
     lam = decomp.eigenvalues
-    if np.any(lam == 0.0):
+    if (lam == 0.0).any():
         raise SingularMatrixError("matrix has a zero eigenvalue")
     g = np.asarray(g, dtype=float)
     coeffs = decomp.eigenvectors.T @ g

@@ -14,7 +14,9 @@ from qnewton.fixtures import ROSENBROCK2_X0
 from qnewton.harness import (
     SUITES,
     ExperimentSpec,
+    _COLUMNS,
     ResultRow,
+    _fmt,
     build_spec,
     emit_report,
     results_root,
@@ -227,6 +229,28 @@ def test_csv_report_quotes_commas():
     assert '"error: bad, thing"' in text
     rec, = csv.DictReader(io.StringIO(text))
     assert rec["termination"] == "error: bad, thing"
+
+
+def test_csv_report_escapes_quotes():
+    row = row_fixture(termination='error: bad "key", here')
+    text = emit_report([row], "csv")
+    header, fields = csv.reader(io.StringIO(text))
+    assert len(fields) == len(header) == 8
+    assert fields[-1] == 'error: bad "key", here'
+
+
+@pytest.mark.parametrize("termination", [
+    "converged", "error: bad, thing", "error: a,b,,c", "", "numerical-error: "
+    "no shift produced an invertible matrix (tried [0.0, 1.0, -1.0])"])
+def test_csv_report_unchanged_without_quotes_or_newlines(termination):
+    rows = [row_fixture(termination=termination),
+            row_fixture(method="newton", objective="ex09", final_f=-0.5)]
+    # the hand-written rule the csv module replaced, exact for such cells
+    cells = [[_fmt(getattr(r, c)) for c in _COLUMNS] for r in rows]
+    lines = [",".join(_COLUMNS)]
+    lines += [",".join(f'"{c}"' if "," in c else c for c in row)
+              for row in cells]
+    assert emit_report(rows, "csv") == "\n".join(lines) + "\n"
 
 
 def test_markdown_report_shape():

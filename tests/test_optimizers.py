@@ -13,7 +13,8 @@ from qnewton.errors import InvalidInputError, NoValidDeltaError
 from qnewton.objectives import (Objective, make_benchmark,
                                 make_stochastic_griewank,
                                 sample_batch_objective)
-from qnewton.optimizers import (METHODS, DeltaSchedule, StopCriteria,
+from qnewton.optimizers import (METHODS, X_DIVERGENCE_CAP, DeltaSchedule,
+                                IterationRecord, StopCriteria, _classify,
                                 backtracking_gd_step, newton_step,
                                 nqn_backtracking_step, nqn_step, run,
                                 select_delta)
@@ -445,6 +446,68 @@ def test_stochastic_records_match_fresh_batch_evaluation():
         batch = sample_batch_objective(obj, rec.index)
         assert rec.f == batch.value(rec.x)
         assert rec.grad_norm == float(np.linalg.norm(batch.gradient(rec.x)))
+
+
+def test_stochastic_run_evaluates_f_once_per_point(monkeypatch):
+    calls = Counter()
+    for kind in ("value", "gradient"):
+        def counted(self, x, _kind=kind, _orig=getattr(Objective, kind)):
+            calls[_kind] += 1
+            return _orig(self, x)
+        monkeypatch.setattr(Objective, kind, counted)
+    obj = make_stochastic_griewank(dim=10, batch_size=100, sigma=0.3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # 3 shifts, dim 10
+        trace = run("nqn", obj, np.full(10, 10.0),
+                    stop=StopCriteria(max_iter=10))
+    assert trace.iterations == 10
+    # f and grad f at x0 on batch 0, then at each x_k on batch k only
+    assert calls == {"value": 11, "gradient": 11}
+
+
+def _classify_reference(rec, stop):
+    """The numpy-wrapper form of _classify, kept as the oracle."""
+    bad = not np.isfinite(rec.grad_norm) or np.isnan(rec.f) \
+        or np.any(np.isnan(rec.x))
+    if bad:
+        return "numerical-error: non-finite iterate"
+    if rec.f > stop.f_divergence_cap or np.isinf(rec.f) \
+            or float(np.linalg.norm(rec.x)) > X_DIVERGENCE_CAP:
+        return "diverged"
+    if rec.grad_norm <= stop.grad_tol:
+        return "converged"
+    if rec.index > 0 and rec.step_norm <= stop.step_tol:
+        return "converged"
+    return None
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("f, grad_norm, x, step_norm, verdict", [
+    (NAN, 1.0, [1.0, 2.0], 1.0, "numerical-error: non-finite iterate"),
+    (1.0, NAN, [1.0, 2.0], 1.0, "numerical-error: non-finite iterate"),
+    (1.0, INF, [1.0, 2.0], 1.0, "numerical-error: non-finite iterate"),
+    (1.0, 1.0, [NAN, 2.0], 1.0, "numerical-error: non-finite iterate"),
+    (INF, 1.0, [1.0, 2.0], 1.0, "diverged"),
+    (-INF, 1.0, [1.0, 2.0], 1.0, "diverged"),
+    (1e101, 1.0, [1.0, 2.0], 1.0, "diverged"),
+    (1.0, 1.0, [2e10, 0.0], 1.0, "diverged"),
+    (1.0, 1.0, [INF, 0.0], 1.0, "diverged"),
+    (1.0, 1.0, [1e200, 1e200], 1.0, "diverged"),      # |x|^2 overflows
+    (1.0, 1.0, [1e10, 1e5], 1.0, "diverged"),         # just over the cap
+    (1.0, 1.0, [1e10, 0.0], 1.0, None),               # at the cap
+    (1.0, 0.0, [1.0, 2.0], 1.0, "converged"),
+    (1.0, 1.0, [1.0, 2.0], 0.0, "converged"),
+    (1.0, 1.0, [1.0, 2.0], 1.0, None),
+])
+def test_classify_verdicts(f, grad_norm, x, step_norm, verdict):
+    rec = IterationRecord(1, np.array(x), f, grad_norm, None, step_norm, 0,
+                          0)
+    stop = StopCriteria()
+    with np.errstate(over="ignore"):
+        assert _classify(rec, stop) == verdict
+        assert _classify_reference(rec, stop) == verdict
 
 
 def test_unknown_method_rejected():

@@ -1,0 +1,89 @@
+"""Hypothesis properties: bit-exact shortcuts agree with what they replace."""
+
+import struct
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from qnewton.optimizers import _norm
+from qnewton.rootfind import builtin
+
+# ---------------------------------------------------------------------------
+# the builders' shared triple: cached g, g', g'' equal a fresh evaluation
+# ---------------------------------------------------------------------------
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False, width=64)
+_SPECIAL_POINTS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                   complex(-0.0, -0.0), 0.0, -0.0, 0, 1, True,
+                   np.float64(0.0), np.float64(-0.0),
+                   np.complex128(complex(0.0, -0.0)), 0.5, 0.5 + 0j,
+                   np.float64(0.5), np.complex128(0.5))
+_points = st.one_of(
+    st.sampled_from(_SPECIAL_POINTS),
+    st.builds(complex, _coord, _coord),
+    _coord,
+    _coord.map(np.float64),
+    st.builds(complex, _coord, _coord).map(np.complex128),
+    st.integers(-3, 3),
+)
+
+
+def _outcome(fn, z):
+    """fn(z)'s type and exact bits, or the exception type it raised."""
+    try:
+        v = fn(z)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return type(v), np.complex128(v).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(("g1", "g2", "g3", "g4", "g5", "g6")),
+       pool=st.lists(_points, min_size=1, max_size=3),
+       calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                      min_size=1, max_size=12))
+@example(name="g4", pool=[0j, complex(0.0, -0.0)],
+         calls=[(0, 0), (1, 0), (0, 0), (1, 2), (1, 0)])
+@example(name="g5", pool=[0j, 0.0, np.float64(0.0)],
+         calls=[(0, 2), (1, 2), (2, 2), (0, 0), (1, 1)])
+def test_cached_derivatives_match_a_fresh_builder(name, pool, calls):
+    # repeated points, g'' before g, and alternating points all hit or
+    # miss the one-entry cache in different orders
+    m = builtin(name)
+    for i, which in calls:
+        z = pool[i % len(pool)]
+        attr = ("g", "g1", "g2")[which]
+        fresh = getattr(builtin(name), attr)
+        assert _outcome(getattr(m, attr), z) == _outcome(fresh, z)
+
+
+# ---------------------------------------------------------------------------
+# _norm is np.linalg.norm bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True, width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=arrays(np.float64, st.integers(0, 40), elements=_any_float))
+@example(v=np.array([]))
+@example(v=np.array([5e-324, 1e-310, -2.2e-308]))
+@example(v=np.array([1e200, -1e200, 3.0]))
+@example(v=np.array([1.7e308, 1.7e308]))
+@example(v=np.array([np.inf, 1.0]))
+@example(v=np.array([-np.inf]))
+@example(v=np.array([np.nan, 1.0]))
+@example(v=np.array([np.inf, np.nan]))
+def test_norm_matches_numpy_bit_for_bit(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _norm(v)
+        want = float(np.linalg.norm(v))
+    assert type(got) is float
+    assert _bits(got) == _bits(want)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qnewton.errors import DomainError, InvalidInputError
 from qnewton.fixtures import ROOT_STARTS
 from qnewton.objectives.base import fd_gradient, fd_hessian
+from qnewton import rootfind
 from qnewton.optimizers import StopCriteria
 from qnewton.rootfind import (
     MeroFunction,
@@ -302,3 +304,92 @@ def test_result_json_round_trip():
     assert doc["iterations"] == res.trace.iterations
     np.testing.assert_allclose(doc["z"], [res.z.real, res.z.imag])
     assert doc["f"] == res.f_value
+
+
+# ---------------------------------------------------------------------------
+# one triple evaluation per point
+# ---------------------------------------------------------------------------
+
+def count_triple_calls(fn):
+    """(fn(), number of calls of a builder's inner ``triple``)."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "triple" \
+                and code.co_filename == rootfind.__file__:
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(previous)
+    return out, calls[0]
+
+
+@pytest.mark.parametrize("method", ["nqn", "newton"])
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5", "g6"])
+def test_builtin_triple_runs_once_per_point(name, method):
+    m = builtin(name)
+    res, calls = count_triple_calls(
+        lambda: find_root(m, ROOT_STARTS[name], method=method))
+    assert res.trace.termination == "converged"
+    points = {rec.x.tobytes() for rec in res.trace.records}
+    # f, grad f and Hess f at each point, and the final classification,
+    # share one evaluation of g, g' and g''
+    assert calls == len(points) == len(res.trace.records)
+    label, calls = count_triple_calls(
+        lambda: classify_critical_point(m, res.z))
+    assert label == res.classification
+    assert calls == 0
+
+
+def test_hand_built_mero_is_called_as_given():
+    counts = {"g": 0, "g1": 0, "g2": 0}
+
+    def counted(key, fn):
+        def call(z):
+            counts[key] += 1
+            return fn(z)
+        return call
+
+    m = MeroFunction(g=counted("g", lambda z: z * z + 1),
+                     g1=counted("g1", lambda z: 2 * z),
+                     g2=counted("g2", lambda z: 2 + 0j))
+    obj = mero_objective(m)
+    x = np.array([0.5, 0.25])
+    obj.value(x)
+    obj.gradient(x)
+    obj.hessian(x)
+    assert counts == {"g": 3, "g1": 2, "g2": 1}
+
+
+def bits(v):
+    """A complex-like value's type and exact bits."""
+    return type(v), np.complex128(v).tobytes()
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("g4", 0j, complex(0.0, -0.0)),        # g: 0-0j vs -0+0j
+    ("g4", 0.0, np.float64(0.0)),          # complex vs np.complex128
+    ("g5", 0j, 0.0),                       # complex vs real exp: g'' bits
+])
+def test_cache_keeps_apart_inputs_the_triple_tells_apart(name, a, b):
+    def fresh(z):          # each value from its own, never-used builder
+        return [bits(getattr(builtin(name), attr)(z))
+                for attr in ("g", "g1", "g2")]
+
+    assert fresh(a) != fresh(b)
+    m = builtin(name)
+    for z in (a, b, a):
+        assert [bits(m.g(z)), bits(m.g1(z)), bits(m.g2(z))] == fresh(z)
+
+
+def test_raising_triple_caches_nothing():
+    m = exp_rational_derivative((1.0, 1.0), (1.0, -1.0))   # q = 1 - e^-z
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            m.g(0j)
+    assert m.g(1j) == exp_rational_derivative((1.0, 1.0), (1.0, -1.0)).g(1j)
