@@ -38,6 +38,12 @@ _STEP_FAILURES = (NoValidDeltaError, SingularMatrixError,
                   StalledLineSearchError, NoConvergenceError, DomainError,
                   OverflowError, ZeroDivisionError, FloatingPointError)
 
+# Failures of f at a line-search probe.  A probe that hits one counts as a
+# failed Armijo test, so the search shrinks the step instead of ending the
+# run: a step too long for the objective's domain is still just too long.
+_PROBE_FAILURES = (DomainError, OverflowError, ZeroDivisionError,
+                   FloatingPointError)
+
 # A shifted matrix counts as invertible when its smallest eigenvalue
 # magnitude clears this fraction of the largest.  Purely relative: scaling
 # the objective by a constant cannot change which shift is selected.
@@ -188,8 +194,18 @@ class Trace:
         return path
 
 
+def _magnitude_range(lam, shift=0.0):
+    """min and max of |l + shift| over the eigenvalue list ``lam``.
+
+    On Python floats: l + shift has the bits of numpy's ``lam + shift``,
+    without an array per candidate shift.
+    """
+    mags = [abs(v + shift) for v in lam]
+    return min(mags), max(mags)
+
+
 def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
-    """Pick the first acceptable shift; return (delta, A, decomposition).
+    """Pick the first acceptable shift; return (delta, decomposition).
 
     H is decomposed once per call.  Shifting by delta*h*I moves every
     eigenvalue by delta*h and leaves the eigenvectors alone, so each
@@ -202,9 +218,9 @@ def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
     EPS_SING_RTOL test.
     """
     sched = sched or DeltaSchedule()
-    H = np.asarray(hessian, dtype=float)
     hval = sched.h(grad_norm)
-    dec_H = eigh(H)
+    dec_H = eigh(hessian)
+    lam_H = dec_H.eigenvalues.tolist()
 
     if sched.selection == "random-per-iteration":
         if rng is None:
@@ -217,17 +233,16 @@ def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
 
     tried = []
     for delta in candidates:
-        lam = dec_H.eigenvalues + delta * hval
-        mags = np.abs(lam)
-        amin, amax = float(mags.min()), float(mags.max())
+        shift = delta * hval
+        amin, amax = _magnitude_range(lam_H, shift)
         if floor:
             ok = amin > 0.0 and amin >= 0.5 * sched.min_gap * hval
         else:
             ok = amin > EPS_SING_RTOL * amax
         if ok:
-            A = H + (delta * hval) * np.eye(H.shape[0])
+            lam = dec_H.eigenvalues + shift
             lam.setflags(write=False)
-            return delta, A, SpectralDecomposition(lam, dec_H.eigenvectors)
+            return delta, SpectralDecomposition(lam, dec_H.eigenvectors)
         tried.append(delta)
     raise NoValidDeltaError(
         f"no shift produced an invertible matrix (tried {tried})")
@@ -247,6 +262,15 @@ def _grad_and_norm(obj, x):
     return g, _norm(g)
 
 
+def _probe(obj, x):
+    """f(x) at a line-search probe, or NaN (which fails every Armijo test)
+    if f raises one of the _PROBE_FAILURES there."""
+    try:
+        return obj.value(x)
+    except _PROBE_FAILURES:
+        return math.nan
+
+
 def _partial_record(x, f, delta, step_norm, backtracks):
     return IterationRecord(-1, x, f, float("nan"), delta, step_norm,
                            backtracks, 0)
@@ -261,7 +285,7 @@ def _partial_record(x, f, delta, step_norm, backtracks):
 
 def nqn_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """One shifted-reflected-Newton update; returns (x_next, record)."""
-    delta, _, dec = select_delta(obj.hessian(x), gn, sched, rng)
+    delta, dec = select_delta(obj.hessian(x), gn, sched, rng)
     w = reflect_inverse_apply(dec, g)
     x1 = x - w
     return x1, _partial_record(x1, None, delta, _norm(w), 0)
@@ -272,14 +296,15 @@ def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
 
     The floor keeps |A^-1| bounded by 2/(min_gap*h); halving the step until
     f(x - beta*w) <= f(x) - beta/2 * <w, grad f> then guarantees descent.
+    A probe at which f raises (a pole, an overflow) fails the test.
     """
-    delta, _, dec = select_delta(obj.hessian(x), gn, sched, rng, floor=True)
+    delta, dec = select_delta(obj.hessian(x), gn, sched, rng, floor=True)
     w = reflect_inverse_apply(dec, g)
     wg = float(w @ g)            # nonnegative by construction
     beta = 1.0
     for halvings in range(_MAX_HALVINGS + 1):
         x1 = x - beta * w
-        f1 = obj.value(x1)
+        f1 = _probe(obj, x1)
         if f1 - f <= -0.5 * beta * wg:
             return x1, _partial_record(x1, f1, delta, beta * _norm(w),
                                        halvings)
@@ -296,13 +321,12 @@ def newton_step(obj, x, f, g, gn, sched=None, rng=None, state=None,
     recorded as the record's delta.
     """
     dec = eigh(obj.hessian(x))
-    mags = np.abs(dec.eigenvalues)
-    if float(mags.min()) <= EPS_SING_RTOL * float(mags.max()):
+    amin, amax = _magnitude_range(dec.eigenvalues.tolist())
+    if amin <= EPS_SING_RTOL * amax:
         raise SingularMatrixError(
             f"singular Hessian in {'damped ' if damped else ''}Newton update")
-    E = dec.eigenvectors
     damping = float(rng.uniform(0.0, 2.0)) if damped else 1.0
-    w = damping * (E @ ((E.T @ g) / dec.eigenvalues))
+    w = damping * reflect_inverse_apply(dec, g, signed=True)
     x1 = x - w
     return x1, _partial_record(x1, None, damping if damped else None,
                                _norm(w), 0)
@@ -314,15 +338,15 @@ def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     The learning rate carries over between iterations; each iteration may
     grow it (divide by 0.7 while the Armijo test keeps passing, up to
     max(1, grad_norm^-1/2)) or shrink it (multiply by 0.7 until the test
-    passes).  Armijo test: f(x - lr*g) - f(x) <= -lr/2 * |g|^2.  The
-    accepted probe's value is the record's f.
+    passes).  Armijo test: f(x - lr*g) - f(x) <= -lr/2 * |g|^2; a probe at
+    which f raises fails it.  The accepted probe's value is the record's f.
     """
     state = state if state is not None else {}
     gg = gn * gn
     probed = {}                  # learning rate -> f(x - lr*g)
 
     def armijo(lr):
-        probed[lr] = obj.value(x - lr * g)
+        probed[lr] = _probe(obj, x - lr * g)
         return probed[lr] - f <= -0.5 * lr * gg
 
     cap = max(1.0, gn ** -0.5) if gn > 0 else 1.0

@@ -265,7 +265,7 @@ def test_criterion_12_shift_selection_always_succeeds():
         gn = float(10.0 ** rng.uniform(-8.0, 3.0))
         sched = DeltaSchedule(deltas=spread_deltas(d + 1))
         for floor in (False, True):
-            delta, A, dec = select_delta(H, gn, sched=sched, floor=floor)
+            delta, dec = select_delta(H, gn, sched=sched, floor=floor)
             ok = ok and delta in sched.deltas
             ok = ok and float(np.min(np.abs(dec.eigenvalues))) > 0.0
     report(12, ok, "1000 random (H, |grad|) draws, dims 1-8, "

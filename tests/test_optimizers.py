@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qnewton.errors import InvalidInputError, NoValidDeltaError
+from qnewton.errors import DomainError, InvalidInputError, NoValidDeltaError
 from qnewton.objectives import (Objective, make_benchmark,
                                 make_stochastic_griewank,
                                 sample_batch_objective)
@@ -95,25 +95,30 @@ def test_stop_criteria_validation():
 # ---------------------------------------------------------------------------
 
 def test_select_delta_invertible_takes_zero():
-    delta, A, dec = select_delta(np.array([[2.0]]), 3.7)
+    H = np.array([[2.0]])
+    delta, dec = select_delta(H, 3.7)
+    A = H + delta * DeltaSchedule().h(3.7) * np.eye(1)
     assert delta == 0.0
     assert_allclose(A, [[2.0]])
     assert_allclose(dec.eigenvalues, [2.0])
 
 
 def test_select_delta_singular_hand_case():
+    H = np.array([[0.0]])
     sched = DeltaSchedule(h_mode="power", alpha=1.0)
-    delta, A, _ = select_delta(np.array([[0.0]]), 2.0, sched)
+    delta, _ = select_delta(H, 2.0, sched)
+    A = H + delta * sched.h(2.0) * np.eye(1)
     assert delta == 1.0
     assert_allclose(A, [[4.0]])
     # capped scaling shifts by min(1, 4) = 1 instead
-    delta, A, _ = select_delta(np.array([[0.0]]), 2.0, DeltaSchedule())
+    delta, _ = select_delta(H, 2.0, DeltaSchedule())
+    A = H + delta * DeltaSchedule().h(2.0) * np.eye(1)
     assert delta == 1.0
     assert_allclose(A, [[1.0]])
 
 
 def test_select_delta_floor_mode_hand_case():
-    delta, A, dec = select_delta(np.diag([0.0, 5.0]), 1.0, floor=True)
+    delta, dec = select_delta(np.diag([0.0, 5.0]), 1.0, floor=True)
     assert delta == 1.0
     assert_allclose(sorted(dec.eigenvalues), [1.0, 6.0])
 
@@ -129,8 +134,8 @@ def test_select_delta_random_mode_seeded():
     sched = DeltaSchedule(selection="random-per-iteration")
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
-    d1, _, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng1)
-    d2, _, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng2)
+    d1, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng1)
+    d2, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng2)
     assert d1 == d2 and d1 != 0.0
 
 
@@ -148,7 +153,7 @@ def test_select_delta_floor_always_succeeds_on_singular_input():
         H = 0.5 * (H + H.T)
         sched = DeltaSchedule(deltas=deltas[:n + 1])
         gn = float(10.0 ** rng.uniform(-6, 2))
-        delta, _, dec = select_delta(H, gn, sched, floor=True)
+        delta, dec = select_delta(H, gn, sched, floor=True)
         assert np.min(np.abs(dec.eigenvalues)) \
             >= 0.5 * sched.min_gap * sched.h(gn)
 
@@ -164,7 +169,7 @@ def test_select_delta_decomposes_once_per_call(monkeypatch):
 
     monkeypatch.setattr(qnewton.optimizers, "eigh", counting_eigh)
     # delta=0 leaves the zero eigenvalue in place and is rejected
-    delta, A, dec = select_delta(np.diag([1.0, 0.0]), 1.0, floor=True)
+    delta, dec = select_delta(np.diag([1.0, 0.0]), 1.0, floor=True)
     assert delta == 1.0
     assert len(calls) == 1
     assert_allclose(dec.eigenvalues, [1.0, 2.0], rtol=0, atol=0)
@@ -180,9 +185,8 @@ def test_select_delta_shifted_spectrum_matches_direct_decomposition():
     deltas = (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0, 5.0, -5.0, 6.0)
     for H, gn in cases:
         sched = DeltaSchedule(deltas=deltas[:H.shape[0] + 1], h_mode="power")
-        delta, A, dec = select_delta(H, gn, sched, floor=True)
-        assert_allclose(A, H + delta * sched.h(gn) * np.eye(H.shape[0]),
-                        rtol=0, atol=0)
+        delta, dec = select_delta(H, gn, sched, floor=True)
+        A = H + delta * sched.h(gn) * np.eye(H.shape[0])
         lam, V = dec.eigenvalues, dec.eigenvectors
         scale = float(np.max(np.abs(lam)))
         assert np.all(np.diff(lam) >= 0)
@@ -212,6 +216,36 @@ def test_nqn_backtracking_quadratic_full_step():
                                      *at(quadratic_1d(), [1.0]))
     assert x1[0] == 0.0
     assert rec.ls_backtracks == 0
+
+
+def half_square_undefined_left_of(edge):
+    """0.5*x^2, whose value raises DomainError for x < edge."""
+    def value(x):
+        if x[0] < edge:
+            raise DomainError(f"x={x[0]} is outside the domain")
+        return 0.5 * x[0] ** 2
+
+    return Objective(1, value, gradient=lambda x: np.array([x[0]]),
+                     hessian=lambda x: np.array([[1.0]]),
+                     name="half-square-on-a-half-line", smooth=True)
+
+
+def test_nqn_backtracking_probe_that_raises_is_halved():
+    # the full step lands on x = 0, outside the domain; half of it is fine
+    obj = half_square_undefined_left_of(0.5)
+    x1, rec = nqn_backtracking_step(obj, *at(obj, [2.0]))
+    assert x1[0] == 1.0
+    assert rec.ls_backtracks == 1
+    assert rec.f == 0.5
+
+
+def test_backtracking_gd_probe_that_raises_is_shrunk():
+    # lr = 1 lands on x = 0, outside the domain; lr = 0.7 passes Armijo
+    obj = half_square_undefined_left_of(0.5)
+    x1, rec = backtracking_gd_step(obj, *at(obj, [2.0]))
+    assert_allclose(x1, [0.6], rtol=1e-15)
+    assert rec.ls_backtracks == 1
+    assert rec.f == obj.value(x1)
 
 
 def test_newton_step_quadratic():

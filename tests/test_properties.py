@@ -3,7 +3,7 @@
 import struct
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -87,3 +87,67 @@ def test_norm_matches_numpy_bit_for_bit(v):
         want = float(np.linalg.norm(v))
     assert type(got) is float
     assert _bits(got) == _bits(want)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 2x2 eigh against LAPACK
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+TINY = 5e-324              # spacing of the subnormal grid
+EIG2_RTOL = 8.0            # error bound, in units of eps * max|A|
+
+_extreme = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308,
+                            1e-300, 1.7e308, -1.7e308, 1e308, -1e308,
+                            8.9e307, 1.0, -1.0))
+_entry = st.one_of(_extreme,
+                   st.floats(-1e8, 1e8, width=64),
+                   st.floats(allow_nan=False, allow_infinity=False,
+                             allow_subnormal=True, width=64))
+
+
+@st.composite
+def _sym2(draw):
+    a = draw(_entry)
+    d = draw(st.one_of(st.just(a), _entry))          # equal diagonals too
+    b = draw(st.one_of(
+        _entry,
+        st.just(0.0), st.just(-0.0),
+        # tiny relative to the diagonal
+        st.builds(lambda s, r: s * r, st.sampled_from((a, d)),
+                  st.sampled_from((1e-17, -1e-30, 2.0 ** -60)))))
+    return np.array([[a, b], [b, d]])
+
+
+@settings(max_examples=500, deadline=None)
+@given(A=_sym2())
+@example(A=np.array([[0.0, 1.0], [1.0, 0.0]]))
+@example(A=np.array([[1e308, 1e308], [1e308, -1e308]]))
+@example(A=np.array([[-1.7e308, 1.7e308], [1.7e308, 1.7e308]]))
+@example(A=np.array([[1e-310, 3e-310], [3e-310, -2e-310]]))
+@example(A=np.array([[5e-324, 5e-324], [5e-324, 5e-324]]))
+@example(A=np.array([[1.0, 1e-300], [1e-300, 1.0]]))
+@example(A=np.array([[1.0, 5e-324], [5e-324, 1.0 + 2 ** -52]]))
+@example(A=np.array([[2.0, -3.0], [-3.0, 2.0]]))
+@example(A=np.array([[1.0 + 2.0 ** -52, 1.0], [1.0, 1.0]]))   # t = -1: tie
+@example(A=np.array([[1e8, 1e-8], [1e-8, -1e-8]]))
+def test_eigh_2x2_matches_lapack(A):
+    from qnewton.spectral import eigh
+    with np.errstate(over="ignore"):
+        want = np.linalg.eigvalsh(A)
+    assume(np.isfinite(want).all())     # no eigenvalue beyond the float range
+    dec = eigh(A)
+    lam, V = dec.eigenvalues, dec.eigenvectors
+    m = float(np.max(np.abs(A)))
+    tol = EIG2_RTOL * EPS * m + EIG2_RTOL * TINY
+    assert lam[0] <= lam[1]
+    assert np.max(np.abs(lam - want)) <= tol
+    assert np.max(np.abs(V.T @ V - np.eye(2))) <= EIG2_RTOL * EPS
+    # reconstruct at a power-of-two scale, where no product overflows
+    k = int(np.frexp(m)[1]) if m > 0 else 0
+    recon = (V * np.ldexp(lam, -k)) @ V.T
+    assert np.max(np.abs(recon - np.ldexp(A, -k))) <= np.ldexp(tol, -k)
+    for j in range(2):
+        v = V[:, j]
+        peak = 0 if abs(v[0]) >= abs(v[1]) else 1     # first one on a tie
+        assert v[peak] >= 0.0

@@ -9,6 +9,7 @@ from qnewton.fixtures import ROOT_STARTS
 from qnewton.objectives.base import fd_gradient, fd_hessian
 from qnewton import rootfind
 from qnewton.optimizers import StopCriteria
+from qnewton.spectral import eigh
 from qnewton.rootfind import (
     MeroFunction,
     builtin,
@@ -21,6 +22,8 @@ from qnewton.rootfind import (
     poly_mero,
     zeta_partial,
 )
+
+EPS = np.finfo(float).eps
 
 
 def cubic_mero(coeffs):
@@ -180,6 +183,39 @@ def test_multiple_root_pull():
     assert res.classification == "degenerate"
     assert abs(res.z - 5.0) <= 2e-2
     assert res.f_value <= 1e-12
+
+
+@pytest.mark.parametrize("key", sorted(ROOT_STARTS))
+def test_hessian_spectrum_matches_the_complex_formula(key):
+    # For f = |g|^2 the Hessian's eigenvalues are 2(|g'|^2 -+ |g g''|):
+    # an exact cross-check of eigh at every point of a root find.
+    m = builtin(key.split("-")[0])
+    obj = mero_objective(m)
+    res = find_root(m, ROOT_STARTS[key])
+    assert res.trace.iterations > 0
+    for rec in res.trace.records:
+        gv, g1, g2 = m.eval_all(complex(rec.x[0], rec.x[1]))
+        s, r = abs(g1) ** 2, abs(gv * g2)
+        want = np.array([2.0 * (s - r), 2.0 * (s + r)])
+        lam = eigh(obj.hessian(rec.x)).eigenvalues
+        assert np.max(np.abs(lam - want)) <= 16 * EPS * want[1]
+
+
+def test_backtracking_gd_root_find_survives_probes_past_a_pole():
+    # g3's first line-search probes land so far out that q(z) rounds to 0
+    # and g raises: they fail the Armijo test instead of ending the run
+    res = find_root(builtin("g3"), ROOT_STARTS["g3"],
+                    method="backtracking-gd")
+    assert res.classification == "root-of-g"
+
+
+def test_backtracking_gd_on_a_polynomial_never_reports_a_pole():
+    # g1 is a polynomial: its overflowing probes are failed Armijo tests,
+    # not "near a pole of g"
+    res = find_root(builtin("g1"), ROOT_STARTS["g1"],
+                    method="backtracking-gd")
+    assert res.trace.error_class != "DomainError"
+    assert "pole" not in res.trace.termination
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from qnewton.errors import (InvalidInputError, NoConvergenceError,
                             SingularMatrixError)
 from qnewton.spectral import eigh, reflect_inverse_apply
 
+EPS = np.finfo(float).eps
+TINY = 5e-324          # smallest subnormal: the spacing of the subnormal grid
+
 
 def test_diagonal_matrix():
     dec = eigh(np.diag([3.0, -1.0]))
@@ -176,3 +179,87 @@ def test_reflect_norm_matches_inverse_norm():
         w = reflect_inverse_apply(eigh(A), g)
         assert abs(la.norm(w) - la.norm(la.solve(A, g))) \
             <= 1e-9 * max(1.0, la.norm(w))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 2x2 path
+# ---------------------------------------------------------------------------
+
+def test_2x2_does_not_call_lapack(monkeypatch):
+    def failing_eigh(A):
+        raise la.LinAlgError("LAPACK called")
+
+    monkeypatch.setattr(la, "eigh", failing_eigh)
+    dec = eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert_allclose(dec.eigenvalues, [1.0, 3.0], rtol=4 * EPS)
+    with pytest.raises(NoConvergenceError):
+        eigh(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+def test_2x2_nonfinite_rejected(bad, where):
+    A = np.array([[1.0, 0.5], [0.5, 2.0]])
+    A[where] = bad
+    A[where[::-1]] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        eigh(A)
+
+
+def test_2x2_one_ulp_asymmetry_rejected():
+    b = 0.3
+    A = np.array([[1.0, b], [np.nextafter(b, 1.0), 2.0]])
+    with pytest.raises(InvalidInputError, match="not exactly symmetric"):
+        eigh(A)
+
+
+def test_2x2_output_is_read_only():
+    dec = eigh(np.array([[1.0, 2.0], [2.0, -1.0]]))
+    assert not dec.eigenvalues.flags.writeable
+    assert not dec.eigenvectors.flags.writeable
+    assert dec.eigenvalues.dtype == dec.eigenvectors.dtype == np.float64
+    assert dec.eigenvalues.shape == (2,) and dec.eigenvectors.shape == (2, 2)
+
+
+@pytest.mark.parametrize("a, d", [(3.0, -1.0), (-1.0, 3.0), (2.0, 2.0),
+                                  (0.0, 0.0), (-0.0, 5e-324)])
+def test_2x2_zero_offdiagonal_gives_diagonal_and_identity(a, d):
+    dec = eigh(np.array([[a, 0.0], [0.0, d]]))
+    lam, V = dec.eigenvalues, dec.eigenvectors
+    assert list(lam) == sorted([a, d])
+    if a <= d:
+        assert V.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    else:
+        assert V.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_2x2_near_overflow_is_finite_and_accurate():
+    # the unscaled formula computes (d - a) = inf here and returns NaN
+    A = np.array([[1e308, 1e308], [1e308, -1e308]])
+    dec = eigh(A)
+    lam = dec.eigenvalues
+    assert np.isfinite(lam).all() and np.isfinite(dec.eigenvectors).all()
+    want = la.eigvalsh(A)
+    assert np.max(np.abs(lam - want)) <= 8 * EPS * 1e308
+
+
+def test_2x2_eigenvalue_beyond_float_range_is_inf_like_lapack():
+    A = np.full((2, 2), 1.7e308)
+    lam = eigh(A).eigenvalues
+    assert lam[1] == np.inf
+    assert abs(lam[0]) <= 8 * EPS * 1.7e308
+    assert la.eigvalsh(A)[1] == np.inf
+
+
+def test_2x2_subnormal_entries_keep_their_accuracy():
+    A = np.array([[1e-310, 3e-310], [3e-310, -2e-310]])
+    lam = eigh(A).eigenvalues
+    want = la.eigvalsh(A)
+    assert np.max(np.abs(lam - want)) <= 8 * EPS * 3e-310 + 8 * TINY
+
+
+def test_2x2_offdiagonal_pair_tie_takes_the_first_component():
+    V = eigh(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvectors
+    r = 1.0 / np.sqrt(2.0)
+    assert_allclose(V, [[r, r], [-r, r]], rtol=2 * EPS)
+    assert V[0, 0] > 0 and V[0, 1] > 0
