@@ -12,18 +12,16 @@ failure of the tool.
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .harness import (ExperimentSpec, ResultRow, SUITES, build_spec,
-                      emit_report, results_root, run_experiment, suite_spec,
-                      x0_digest)
+from .harness import (ExperimentSpec, SUITES, build_spec, emit_report,
+                      results_root, run_experiment, run_to_row, suite_spec)
 from .objectives import catalog_listing, default_start, make_benchmark
-from .optimizers import METHODS, DeltaSchedule, StopCriteria, run
+from .optimizers import METHODS, DeltaSchedule, StopCriteria
 from .rootfind import builtin, find_root, parse_poly_coeffs, poly_mero
 
 
@@ -90,19 +88,12 @@ def cmd_minimize(args, parser):
 
     sched = _sched_from(args, parser)
     stop = _stop_from(args)
-    t0 = time.perf_counter()
-    trace = run(args.method, obj, x0, sched=sched, stop=stop, seed=args.seed)
-    wall = time.perf_counter() - t0
-
     slug = args.function.replace(":", "-")
     out = (Path(args.out) if args.out
            else results_root() / "minimize" / f"{slug}-{args.method}.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out)
-
-    row = ResultRow(args.method, args.function, x0_digest(tuple(x0)),
-                    trace.iterations, trace.final_f, trace.final_grad_norm,
-                    wall, trace.termination)
+    row = run_to_row(args.method, args.function, obj, x0, sched, stop,
+                     args.seed, out)
     sys.stdout.write(emit_report([row], "csv"))
     sys.stderr.write(f"trace written to {out}\n")
     return 0
@@ -190,7 +181,7 @@ def cmd_bench(args, parser):
     return 0
 
 
-def _add_run_flags(p, include_xtol=True):
+def _add_run_flags(p):
     p.add_argument("--method", default="nqn", choices=list(METHODS),
                    help="optimizer to run")
     p.add_argument("--delta-set", default="0,1,-1",
@@ -201,9 +192,8 @@ def _add_run_flags(p, include_xtol=True):
                    help="iteration cap")
     p.add_argument("--gtol", type=float, default=1e-10,
                    help="stop when the gradient norm falls to this")
-    if include_xtol:
-        p.add_argument("--xtol", type=float, default=1e-20,
-                       help="stop when the step norm falls to this")
+    p.add_argument("--xtol", type=float, default=1e-20,
+                   help="stop when the step norm falls to this")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for any randomized method choices")
 

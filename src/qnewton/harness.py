@@ -13,7 +13,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,10 @@ from .fixtures import (ABBBA_STARTS, GRIEWANK15_X0, ROSENBROCK2_X0,
 from .objectives import make_benchmark, make_stochastic_griewank
 from .optimizers import METHODS, DeltaSchedule, StopCriteria, run
 
-_SCHED_KEYS = ("deltas", "alpha", "h_mode", "selection", "random_interval")
-_STOP_KEYS = ("max_iter", "grad_tol", "step_tol", "f_divergence_cap")
+# A method entry of the experiment JSON holds these keys besides "method":
+# every DeltaSchedule field, and any StopCriteria field as a per-method stop.
+_SCHED_KEYS = tuple(f.name for f in fields(DeltaSchedule))
+_STOP_KEYS = tuple(f.name for f in fields(StopCriteria))
 
 
 def results_root():
@@ -81,13 +83,10 @@ class ExperimentSpec:
         )
 
     def to_json(self):
+        """The spec as JSON that ``from_json`` reads back to an equal spec."""
         def method_doc(mc):
             d = {"method": mc.method,
-                 "deltas": list(mc.sched.deltas),
-                 "alpha": mc.sched.alpha,
-                 "selection": mc.sched.selection}
-            if isinstance(mc.sched.h_mode, str):
-                d["h_mode"] = mc.sched.h_mode
+                 **{k: getattr(mc.sched, k) for k in _SCHED_KEYS}}
             if mc.stop is not None:
                 d.update({k: getattr(mc.stop, k) for k in _STOP_KEYS})
             return d
@@ -104,18 +103,17 @@ class ExperimentSpec:
         }, indent=2)
 
 
-def _resolve_objective(spec):
-    params = dict(spec.params)
-    if spec.objective == "stochastic-griewank":
+def _resolve_objective(objective, params, seed):
+    params = dict(params)
+    if objective == "stochastic-griewank":
         return make_stochastic_griewank(
             dim=int(params.get("dim", STOCHASTIC_GRIEWANK_DIM)),
             batch_size=int(params.get("batch_size", 500)),
             sigma=float(params.get("sigma", np.sqrt(0.1))),
-            seed=int(params.get("seed",
-                                spec.seed if spec.seed is not None
+            seed=int(params.get("seed", seed if seed is not None
                                 else STOCHASTIC_GRIEWANK_SEED)))
     dim = params.pop("dim", None)
-    return make_benchmark(spec.objective, dim=dim, params=params)
+    return make_benchmark(objective, dim=dim, params=params)
 
 
 def build_spec(name, objective, params=None, initial_points=None,
@@ -132,10 +130,7 @@ def build_spec(name, objective, params=None, initial_points=None,
         stop = StopCriteria(**{k: stop[k] for k in _STOP_KEYS if k in stop})
     stop = stop or StopCriteria()
 
-    probe = _resolve_objective(ExperimentSpec(
-        name=name, objective=objective, params=params,
-        initial_points=((0.0,),), methods=(MethodConfig("nqn"),)))
-    dim = probe.dim
+    dim = _resolve_objective(objective, params, seed).dim
 
     if initial_points is None:
         raise InvalidInputError("initial_points is required")
@@ -158,8 +153,6 @@ def build_spec(name, objective, params=None, initial_points=None,
         entry = dict(entry)
         mid = entry.pop("method")
         sched_kwargs = {k: entry.pop(k) for k in _SCHED_KEYS if k in entry}
-        if "deltas" in sched_kwargs:
-            sched_kwargs["deltas"] = tuple(sched_kwargs["deltas"])
         stop_kwargs = {k: entry.pop(k) for k in _STOP_KEYS if k in entry}
         if entry:
             raise InvalidInputError(f"unknown method keys {sorted(entry)}")
@@ -190,18 +183,30 @@ def x0_digest(x0):
     return hashlib.sha1(data).hexdigest()[:10]
 
 
+def run_to_row(method, objective, obj, x0, sched, stop, seed, trace_path):
+    """Run ``method`` on ``obj`` from x0, write the trace, return its row.
+
+    ``objective`` is the name the row reports and ``wall_seconds`` times
+    the run alone.  Errors from the run propagate to the caller.
+    """
+    t0 = time.perf_counter()
+    trace = run(method, obj, np.asarray(x0), sched=sched, stop=stop,
+                seed=seed)
+    wall = time.perf_counter() - t0
+    trace.to_csv(trace_path)
+    return ResultRow(method, objective, x0_digest(x0), trace.iterations,
+                     trace.final_f, trace.final_grad_norm, wall,
+                     trace.termination)
+
+
 def _one_run(spec, obj, cfg, x0, job_index, out_path):
     digest = x0_digest(x0)
     seed = None if spec.seed is None else spec.seed + job_index
     t0 = time.perf_counter()
     try:
-        trace = run(cfg.method, obj, np.asarray(x0), sched=cfg.sched,
-                    stop=cfg.stop or spec.stop, seed=seed)
-        wall = time.perf_counter() - t0
-        trace.to_csv(out_path / f"{cfg.method}-{digest}.csv")
-        return ResultRow(cfg.method, spec.objective, digest,
-                         trace.iterations, trace.final_f,
-                         trace.final_grad_norm, wall, trace.termination)
+        return run_to_row(cfg.method, spec.objective, obj, x0, cfg.sched,
+                          cfg.stop or spec.stop, seed,
+                          out_path / f"{cfg.method}-{digest}.csv")
     except Exception as exc:  # a failed run is a row, never a batch abort
         wall = time.perf_counter() - t0
         return ResultRow(cfg.method, spec.objective, digest, 0,
@@ -210,7 +215,7 @@ def _one_run(spec, obj, cfg, x0, job_index, out_path):
 
 def run_experiment(spec):
     """Execute the full method x initial-point grid; rows in spec order."""
-    obj = _resolve_objective(spec)
+    obj = _resolve_objective(spec.objective, spec.params, spec.seed)
     out_path = Path(spec.out_dir) if spec.out_dir else results_root() / spec.name
     out_path.mkdir(parents=True, exist_ok=True)
     (out_path / "experiment.json").write_text(spec.to_json())
@@ -261,8 +266,7 @@ def emit_report(rows, format="csv"):
 # named reproduction suites
 # --------------------------------------------------------------------------
 
-_ALL_METHODS = ("nqn", "nqn-backtracking", "newton", "random-damping-newton",
-                "backtracking-gd")
+_ALL_METHODS = tuple(METHODS)
 
 
 def _suite_rosenbrock2():

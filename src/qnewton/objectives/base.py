@@ -31,7 +31,12 @@ def fd_gradient(f, x, h=FD_GRAD_STEP):
 
 
 def fd_hessian(f, x, h=FD_HESS_STEP):
-    """Second-order central-difference Hessian, symmetrized as (H + H.T)/2."""
+    """Second-order central-difference Hessian.
+
+    Each off-diagonal pair is computed once and written to both triangles,
+    so the result is exactly symmetric.  Raises DomainError (carrying the
+    offending point) if f evaluates non-finite anywhere on the stencil.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     H = np.empty((n, n))
@@ -44,7 +49,7 @@ def fd_hessian(f, x, h=FD_HESS_STEP):
             v = (_eval_finite(f, x + ei + ej) - _eval_finite(f, x + ei - ej)
                  - _eval_finite(f, x - ei + ej) + _eval_finite(f, x - ei - ej))
             H[i, j] = H[j, i] = v / (4.0 * h * h)
-    return 0.5 * (H + H.T)
+    return H
 
 
 class Objective:
@@ -55,13 +60,12 @@ class Objective:
     back to central finite differences of ``value``; the ``analytic_gradient``
     / ``analytic_hessian`` flags record which is which.
 
-    ``smooth`` marks objectives that are globally C^2 with analytic
-    derivatives everywhere (the ones on which descent-type guarantees can be
-    exercised end to end).
+    ``hessian`` returns the symmetrized (H + H.T)/2 and raises DomainError
+    (carrying the point) when it has a non-finite entry, as the
+    finite-difference path does for a non-finite value on its stencil.
     """
 
-    def __init__(self, dim, value, gradient=None, hessian=None, name="",
-                 smooth=False):
+    def __init__(self, dim, value, gradient=None, hessian=None, name=""):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
@@ -71,7 +75,6 @@ class Objective:
         self._gradient = gradient
         self._hessian = hessian
         self.name = name
-        self.smooth = bool(smooth)
 
     def value(self, x):
         return float(self._value(np.asarray(x, dtype=float)))
@@ -88,7 +91,11 @@ class Objective:
             H = np.asarray(self._hessian(x), dtype=float)
         else:
             H = fd_hessian(self._value, x)
-        return 0.5 * (H + H.T)
+        H = 0.5 * (H + H.T)
+        if not np.isfinite(H).all():
+            raise DomainError(f"Hessian non-finite at {x!r}",
+                              point=np.array(x))
+        return H
 
     def __repr__(self):
         kind = "analytic" if self.analytic_hessian else "fd"

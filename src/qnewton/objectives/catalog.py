@@ -57,11 +57,10 @@ def _scalar(x):
     return float(np.asarray(x, dtype=float).reshape(-1)[0])
 
 
-def _make_1d(value, grad=None, hess=None, name="", smooth=False):
+def _make_1d(value, grad=None, hess=None, name=""):
     g = None if grad is None else (lambda x: np.array([grad(_scalar(x))]))
     h = None if hess is None else (lambda x: np.array([[hess(_scalar(x))]]))
-    return Objective(1, lambda x: value(_scalar(x)), g, h, name=name,
-                     smooth=smooth)
+    return Objective(1, lambda x: value(_scalar(x)), g, h, name=name)
 
 
 def _abs_power_43(dim, params):
@@ -82,7 +81,7 @@ def _exp_inv_square(dim, params):
     def hess(t):
         return value(t) * (4.0 / t ** 6 - 6.0 / t ** 4) if t != 0.0 else 0.0
 
-    return _make_1d(value, grad, hess, name="ex03", smooth=True)
+    return _make_1d(value, grad, hess, name="ex03")
 
 
 def _cubic_sin_inv(dim, params):
@@ -126,7 +125,7 @@ def _exp_sq_minus_cubic(dim, params):
         lambda t: math.exp(t * t) - 2 * t ** 3,
         lambda t: 2 * t * math.exp(t * t) - 6 * t * t,
         lambda t: (2 + 4 * t * t) * math.exp(t * t) - 12 * t,
-        name="ex06", smooth=True)
+        name="ex06")
 
 
 def _rosenbrock_value(x):
@@ -157,7 +156,7 @@ def _rosenbrock(dim, params):
     if dim < 2:
         raise InvalidInputError("rosenbrock needs dim >= 2")
     return Objective(dim, _rosenbrock_value, _rosenbrock_grad,
-                     _rosenbrock_hess, name=f"rosenbrock-{dim}", smooth=True)
+                     _rosenbrock_hess, name=f"rosenbrock-{dim}")
 
 
 def _bolte_abs(dim, params):
@@ -172,7 +171,7 @@ def _quartic_cycling(dim, params):
         lambda t: t ** 4 / 4.0 - t * t + 2.0 * t,
         lambda t: t ** 3 - 2.0 * t + 2.0,
         lambda t: 3.0 * t * t - 2.0,
-        name="ex10", smooth=True)
+        name="ex10")
 
 
 def _cosine_integral_mix(dim, params):
@@ -197,7 +196,7 @@ def _quadratic_2d(k, ident):
             return float(x[0] ** 2 + x[1] ** 2 + k * x[0] * x[1])
 
         return Objective(2, value, lambda x: H @ x, lambda x: H,
-                         name=ident, smooth=True)
+                         name=ident)
 
     return factory
 
@@ -213,7 +212,7 @@ def _homogeneous_3d(dim, params):
         lambda x: float(0.5 * x @ (_H15 @ x)),
         lambda x: _H15 @ x,
         lambda x: _H15,
-        name="ex15", smooth=True)
+        name="ex15")
 
 
 def _ackley(dim, params):
@@ -264,8 +263,7 @@ def _rastrigin(dim, params):
     def hess(x):
         return np.diag(2.0 + 4 * _PI * _PI * A * np.cos(2 * _PI * x))
 
-    return Objective(dim, value, grad, hess, name=f"rastrigin-{dim}",
-                     smooth=True)
+    return Objective(dim, value, grad, hess, name=f"rastrigin-{dim}")
 
 
 def _beale(dim, params):
@@ -298,7 +296,7 @@ def _beale(dim, params):
                      + 2.0 * x * t2 + 6.0 * x * y * t3)
         return np.array([[hxx, hxy], [hxy, hyy]])
 
-    return Objective(2, value, grad, hess, name="beale", smooth=True)
+    return Objective(2, value, grad, hess, name="beale")
 
 
 def _bukin6(dim, params):
@@ -338,7 +336,7 @@ def _levi13(dim, params):
                + 8 * _PI ** 2 * (y - 1) ** 2 * math.cos(4 * _PI * y))
         return np.array([[hxx, hxy], [hxy, hyy]])
 
-    return Objective(2, value, grad, hess, name="levi13", smooth=True)
+    return Objective(2, value, grad, hess, name="levi13")
 
 
 def _eggholder(dim, params):
@@ -364,7 +362,7 @@ def _mccormick(dim, params):
         s = -math.sin(v[0] + v[1])
         return np.array([[s + 2.0, s - 2.0], [s - 2.0, s + 2.0]])
 
-    return Objective(2, value, grad, hess, name="mccormick", smooth=True)
+    return Objective(2, value, grad, hess, name="mccormick")
 
 
 def _ratio_objective(Nfuncs, name):
@@ -399,7 +397,7 @@ def _ratio_objective(Nfuncs, name):
             + 6 * N * Dx * Dy / D ** 4
         return np.array([[fxx, fxy], [fxy, fyy]])
 
-    return Objective(2, value, grad, hess, name=name, smooth=True)
+    return Objective(2, value, grad, hess, name=name)
 
 
 def _schaffer2(dim, params):
@@ -440,8 +438,7 @@ def _styblinski(dim, params):
     def hess(x):
         return np.diag(6.0 * x * x - 16.0)
 
-    return Objective(dim, value, grad, hess, name=f"styblinski-tang-{dim}",
-                     smooth=True)
+    return Objective(dim, value, grad, hess, name=f"styblinski-tang-{dim}")
 
 
 def _griewank(dim, params):
@@ -465,8 +462,7 @@ def _griewank(dim, params):
         np.fill_diagonal(H, 1.0 / 2000.0 + P / idx)
         return H
 
-    return Objective(dim, value, grad, hess, name=f"griewank-{dim}",
-                     smooth=True)
+    return Objective(dim, value, grad, hess, name=f"griewank-{dim}")
 
 
 def _saddle(dim, params):
@@ -476,7 +472,7 @@ def _saddle(dim, params):
         lambda x: float(0.5 * (x[0] ** 2 - x[1] ** 2)),
         lambda x: np.array([x[0], -x[1]]),
         lambda x: H,
-        name="saddle", smooth=True)
+        name="saddle")
 
 
 def _protein(dim, params):

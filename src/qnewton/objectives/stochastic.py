@@ -1,6 +1,8 @@
 """Mini-batch objectives: averages of a parametric instance f(x, xi).
 
-Each optimization step draws its own batch of scalar parameters xi.  Draws
+Each optimization step draws its own batch of scalar parameters xi, and
+the family's ``make_batch`` turns that batch into a deterministic
+Objective: the batch average with its own closed-form derivatives.  Draws
 are keyed counter-style (seed, step_index, sample_index) through Philox, so
 sample i of step k is the same number no matter how many samples are drawn,
 in what order, or on which thread — re-running a configuration is bitwise
@@ -37,11 +39,10 @@ class StochasticObjective:
     """A family F(x) = E_xi f(x, xi), optimized through batch averages."""
 
     dim: int
-    instance: object                 # instance(x, xi) -> float, one sample
     batch_size: int
     rng_seed: int
     sampler: object                  # sampler(seed, step_index, count) -> xi
-    make_batch: object = None        # make_batch(xi) -> Objective, or None
+    make_batch: object               # make_batch(xi) -> Objective
     name: str = ""
 
     def sample_xi(self, step_index):
@@ -50,26 +51,12 @@ class StochasticObjective:
 
 def sample_batch_objective(s, step_index):
     """The deterministic batch average F_n for one step's draw."""
-    xi = s.sample_xi(step_index)
-    if s.make_batch is not None:
-        return s.make_batch(xi)
-
-    def value(x):
-        return float(np.mean([s.instance(x, v) for v in xi]))
-
-    return Objective(s.dim, value, name=f"{s.name}[batch {step_index}]")
+    return s.make_batch(s.sample_xi(step_index))
 
 
 # --------------------------------------------------------------------------
 # scaled Griewank family: f(x, xi) = 1 + |xi x|^2/4000 - prod cos(x_i xi / sqrt(i))
 # --------------------------------------------------------------------------
-
-def _griewank_instance(x, xi):
-    x = np.asarray(x, dtype=float)
-    rs = np.sqrt(np.arange(1, x.size + 1, dtype=float))
-    return float(1.0 + xi * xi * (x @ x) / 4000.0
-                 - np.prod(np.cos(x * xi / rs)))
-
 
 def make_stochastic_griewank(dim, batch_size, sigma, seed):
     """Griewank with a random scalar scale xi ~ N(1, sigma^2) per sample.
@@ -120,9 +107,9 @@ def make_stochastic_griewank(dim, batch_size, sigma, seed):
             return H
 
         return Objective(dim, value, grad, hess,
-                         name=f"stochastic-griewank-{dim}", smooth=True)
+                         name=f"stochastic-griewank-{dim}")
 
     return StochasticObjective(
-        dim=dim, instance=_griewank_instance, batch_size=batch_size,
-        rng_seed=seed, sampler=normal_sampler(1.0, sigma),
-        make_batch=make_batch, name=f"stochastic-griewank-{dim}")
+        dim=dim, batch_size=batch_size, rng_seed=seed,
+        sampler=normal_sampler(1.0, sigma), make_batch=make_batch,
+        name=f"stochastic-griewank-{dim}")

@@ -62,16 +62,17 @@ _GD_MAX_SHRINKS = 200
 class DeltaSchedule:
     """The shift candidates and the gradient-norm scaling they multiply.
 
-    h_mode "power" uses h(t) = t^(1+alpha); "capped" uses min(1, t^(1+alpha)),
-    which keeps shifts bounded far from critical points.  A callable h_mode
-    is used as-is.  selection "sequential" tries ``deltas`` in order;
+    h_mode "power" uses the paper's h(t) = t^(1+alpha); "capped" (the
+    default) uses min(1, t^(1+alpha)), which keeps shifts bounded far from
+    critical points.  selection "sequential" tries ``deltas`` in order;
     "random-per-iteration" draws fresh candidates uniformly from
-    ``random_interval`` each iteration.
+    ``random_interval`` each iteration.  Every field is plain data, so an
+    experiment's JSON records the schedule in full.
     """
 
     deltas: tuple = (0.0, 1.0, -1.0)
     alpha: float = 1.0
-    h_mode: object = "capped"
+    h_mode: str = "capped"
     selection: str = "sequential"
     random_interval: tuple = (-2.0, 2.0)
 
@@ -86,16 +87,15 @@ class DeltaSchedule:
         object.__setattr__(self, "deltas", deltas)
         if not (self.alpha > 0):
             raise InvalidInputError("alpha must be positive")
-        if isinstance(self.h_mode, str) and self.h_mode not in ("power",
-                                                                "capped"):
+        if self.h_mode not in ("power", "capped"):
             raise InvalidInputError(
-                f"h_mode must be 'power', 'capped' or callable, "
-                f"got {self.h_mode!r}")
+                f"h_mode must be 'power' or 'capped', got {self.h_mode!r}")
         if self.selection not in ("sequential", "random-per-iteration"):
             raise InvalidInputError(f"unknown selection {self.selection!r}")
-        lo, hi = self.random_interval
+        lo, hi = (float(v) for v in self.random_interval)
         if not lo < hi:
             raise InvalidInputError("random_interval must be increasing")
+        object.__setattr__(self, "random_interval", (lo, hi))
 
     @cached_property
     def min_gap(self):
@@ -107,10 +107,7 @@ class DeltaSchedule:
 
     def h(self, t):
         """The shift scale as a function of the gradient norm."""
-        t = float(t)
-        if callable(self.h_mode):
-            return float(self.h_mode(t))
-        v = t ** (1.0 + self.alpha)
+        v = float(t) ** (1.0 + self.alpha)
         return min(1.0, v) if self.h_mode == "capped" else v
 
 

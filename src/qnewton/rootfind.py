@@ -99,7 +99,7 @@ def mero_objective(m):
                          [-2.0 * t.imag, 2.0 * (s - t.real)]])
 
     return Objective(2, value, grad, hess,
-                     name=m.name or "mero-squared-modulus", smooth=True)
+                     name=m.name or "mero-squared-modulus")
 
 
 def classify_critical_point(m, z, tol=ROOT_TOL):
@@ -139,19 +139,15 @@ def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None,
 # --------------------------------------------------------------------------
 
 def _point_key(z):
-    """Bit-exact identity of a scalar point, or None when it is not cached.
+    """Bit-exact identity of a Python complex point, or None (not cached).
 
-    The type is part of the key: a float, a complex and a numpy scalar with
-    equal values can give different bits or result types.  Values are
+    Every caller in the package passes a complex.  Other scalar types are
+    still evaluated, just not cached: a float or a numpy scalar with an
+    equal value can give different bits or result types.  Values are
     compared by their bytes, so -0.0 and 0.0 stay apart.
     """
-    t = type(z)
-    if t is complex:
-        return t, struct.pack("<dd", z.real, z.imag)
-    if t is float:
-        return t, struct.pack("<d", z)
-    if isinstance(z, np.generic):
-        return t, z.tobytes()
+    if type(z) is complex:
+        return struct.pack("<dd", z.real, z.imag)
     return None
 
 

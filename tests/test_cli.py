@@ -95,6 +95,15 @@ def test_minimize_bad_invocations_exit_2(argv, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_minimize_undefined_start_exits_2(tmp_path, capsys):
+    # ex11 is undefined at 0: the run itself rejects the start
+    code = run_cli(["minimize", "--function", "ex11", "--x0", "0",
+                    "--out", str(tmp_path / "trace.csv")])
+    assert code == 2
+    assert "undefined at x0" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

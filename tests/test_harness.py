@@ -3,7 +3,7 @@ import io
 import json
 import math
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +21,12 @@ from qnewton.harness import (
     emit_report,
     results_root,
     run_experiment,
+    run_to_row,
     suite_spec,
     x0_digest,
 )
+from qnewton.objectives import Objective
+from qnewton.optimizers import DeltaSchedule, StopCriteria
 
 
 def rosen2_spec(tmp_path, **overrides):
@@ -131,6 +134,19 @@ def test_rows_match_persisted_traces(tmp_path):
         "objective"] == "rosenbrock"
 
 
+def test_non_finite_hessian_run_writes_its_trace(tmp_path):
+    obj = Objective(1, lambda x: 0.5 * x[0] ** 2,
+                    gradient=lambda x: np.array([x[0]]),
+                    hessian=lambda x: np.array([[np.nan]]), name="nan-hess")
+    row = run_to_row("nqn", "nan-hess", obj, (1.0,), DeltaSchedule(),
+                     StopCriteria(), None, tmp_path / "nqn.csv")
+    assert row.termination.startswith("numerical-error")
+    assert row.iterations == 0
+    sidecar = json.loads((tmp_path / "nqn.json").read_text())
+    assert sidecar["termination"] == row.termination
+    assert sidecar["error"]["class"] == "DomainError"
+
+
 def test_failed_run_is_a_row_not_an_abort(tmp_path):
     # ex11 cannot be evaluated at 0.0, so that job fails; from the good
     # start the iterate wanders below 0 mid-run, which is a trace-level
@@ -195,6 +211,76 @@ def test_json_round_trip(tmp_path):
                  {"method": "nqn", "deltas": [0.0, 2.0, -2.0], "alpha": 0.5,
                   "grad_tol": 1e-8}])
     assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+# One method entry per schema field, each with a value other than the
+# default (and, for the stop fields, other than the spec-level stop below).
+FIELD_ENTRIES = [
+    {"deltas": [0.0, 0.5, -0.5, 3.0]},
+    {"alpha": 0.5},
+    {"h_mode": "power"},
+    {"selection": "random-per-iteration", "random_interval": [-5, 5]},
+    {"max_iter": 77},
+    {"grad_tol": 1e-7},
+    {"step_tol": 1e-12},
+    {"f_divergence_cap": 1e50},
+]
+SPEC_STOP = {"max_iter": 50, "grad_tol": 1e-9, "step_tol": 1e-15,
+             "f_divergence_cap": 1e60}
+
+
+def test_field_entries_cover_the_schema():
+    keys = {k for entry in FIELD_ENTRIES for k in entry}
+    assert keys == {f.name for f in fields(DeltaSchedule)} | \
+        {f.name for f in fields(StopCriteria)}
+    assert set(SPEC_STOP) == {f.name for f in fields(StopCriteria)}
+
+
+@pytest.mark.parametrize("entry", FIELD_ENTRIES,
+                         ids=lambda e: "+".join(sorted(e)))
+def test_json_round_trip_keeps_each_field(tmp_path, entry):
+    spec = rosen2_spec(tmp_path, methods=[{"method": "nqn", **entry}],
+                       stop=SPEC_STOP)
+    mc, = spec.methods
+    assert spec.stop != StopCriteria()
+    for key in entry:
+        if key in SPEC_STOP:
+            assert getattr(mc.stop, key) != getattr(spec.stop, key)
+        else:
+            assert getattr(mc.sched, key) != getattr(DeltaSchedule(), key)
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+def test_written_experiment_json_reads_back_as_the_spec(tmp_path):
+    spec = rosen2_spec(
+        tmp_path,
+        methods=["newton",
+                 {"method": "nqn", "h_mode": "power",
+                  "selection": "random-per-iteration",
+                  "random_interval": [-5, 5], "max_iter": 20}],
+        stop={"max_iter": 30})
+    run_experiment(spec)
+    text = (tmp_path / "experiment.json").read_text()
+    assert ExperimentSpec.from_json(text) == spec
+
+
+def test_method_entry_without_random_interval_loads():
+    # the method-entry layout of experiment files written before
+    # random_interval was recorded
+    doc = {"name": "old", "objective": "rosenbrock", "params": {"dim": 2},
+           "initial_points": [list(ROSENBROCK2_X0)],
+           "methods": [{"method": "nqn", "deltas": [0.0, 1.0, -1.0],
+                        "alpha": 1.0, "selection": "sequential",
+                        "h_mode": "capped"}],
+           "stop": {"max_iter": 1000, "grad_tol": 1e-10, "step_tol": 1e-20,
+                    "f_divergence_cap": 1e100},
+           "seed": 1, "out_dir": None}
+    spec = ExperimentSpec.from_json(json.dumps(doc))
+    mc, = spec.methods
+    assert mc.method == "nqn"
+    assert mc.sched == DeltaSchedule()
+    assert mc.stop is None
+    assert spec.stop == StopCriteria()
 
 
 # ---------------------------------------------------------------------------

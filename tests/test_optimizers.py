@@ -26,7 +26,7 @@ def quadratic_1d():
     return Objective(1, lambda x: 0.5 * x[0] ** 2,
                      gradient=lambda x: np.array([x[0]]),
                      hessian=lambda x: np.array([[1.0]]),
-                     name="half-square", smooth=True)
+                     name="half-square")
 
 
 def at(obj, x):
@@ -66,6 +66,8 @@ def test_schedule_validation():
     with pytest.raises(InvalidInputError):
         DeltaSchedule(h_mode="exotic")
     with pytest.raises(InvalidInputError):
+        DeltaSchedule(h_mode=lambda t: 1.0)
+    with pytest.raises(InvalidInputError):
         DeltaSchedule(selection="alphabetical")
     with pytest.raises(InvalidInputError):
         DeltaSchedule(selection="random-per-iteration", random_interval=(2, 2))
@@ -79,8 +81,6 @@ def test_schedule_min_gap_and_h():
     assert sched.h(0.5) == 0.25
     power = DeltaSchedule(h_mode="power")
     assert power.h(2.0) == 4.0
-    custom = DeltaSchedule(h_mode=lambda t: 42.0)
-    assert custom.h(123.0) == 42.0
 
 
 def test_stop_criteria_validation():
@@ -227,7 +227,7 @@ def half_square_undefined_left_of(edge):
 
     return Objective(1, value, gradient=lambda x: np.array([x[0]]),
                      hessian=lambda x: np.array([[1.0]]),
-                     name="half-square-on-a-half-line", smooth=True)
+                     name="half-square-on-a-half-line")
 
 
 def test_nqn_backtracking_probe_that_raises_is_halved():
@@ -398,6 +398,18 @@ def test_numerical_error_status_on_shift_exhaustion():
         warnings.simplefilter("ignore", RuntimeWarning)
         trace = run("nqn", obj, np.array([0.0, 0.0]))
     assert trace.termination.startswith("numerical-error: no shift")
+
+
+@pytest.mark.parametrize("method", ["nqn", "nqn-backtracking", "newton",
+                                    "random-damping-newton"])
+def test_non_finite_hessian_ends_as_numerical_error(method):
+    obj = Objective(1, lambda x: 0.5 * x[0] ** 2,
+                    gradient=lambda x: np.array([x[0]]),
+                    hessian=lambda x: np.array([[np.nan]]), name="nan-hess")
+    trace = run(method, obj, np.array([1.0]), seed=0)
+    assert trace.termination.startswith("numerical-error: Hessian non-finite")
+    assert trace.error_class == "DomainError"
+    assert trace.iterations == 0
 
 
 def test_driver_warns_on_small_delta_set():
