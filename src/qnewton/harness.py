@@ -127,7 +127,10 @@ def build_spec(name, objective, params=None, initial_points=None,
     """
     params = dict(params or {})
     if isinstance(stop, dict):
-        stop = StopCriteria(**{k: stop[k] for k in _STOP_KEYS if k in stop})
+        unknown = set(stop) - set(_STOP_KEYS)
+        if unknown:
+            raise InvalidInputError(f"unknown stop keys {sorted(unknown)}")
+        stop = StopCriteria(**stop)
     stop = stop or StopCriteria()
 
     dim = _resolve_objective(objective, params, seed).dim

@@ -128,28 +128,57 @@ def _exp_sq_minus_cubic(dim, params):
         name="ex06")
 
 
+# Rosenbrock is evaluated on Python floats, one pass over the consecutive
+# pairs (a, b) = (x[i], x[i+1]): at small n numpy's per-call cost on
+# one-element slices is most of the time.  The gradient and Hessian keep the
+# operation order of the numpy array forms (the reference in
+# tests/test_objectives.py, which accumulate into zeros), so their bits match
+# them for every n; the value sums left to right, which matches numpy's
+# pairwise sum for n <= 8 and differs by a few ulps above.
+
 def _rosenbrock_value(x):
-    return float(((x[:-1] - 1.0) ** 2
-                  + 100.0 * (x[1:] - x[:-1] ** 2) ** 2).sum())
+    v = x.tolist()
+    f = 0.0
+    for a, b in zip(v, v[1:]):
+        t = a - 1.0
+        d = b - a * a
+        f += t * t + 100.0 * (d * d)
+    return f
 
 
 def _rosenbrock_grad(x):
-    g = np.zeros_like(x)
-    d = x[1:] - x[:-1] ** 2
-    g[:-1] += 2.0 * (x[:-1] - 1.0) - 400.0 * x[:-1] * d
-    g[1:] += 200.0 * d
-    return g
+    v = x.tolist()
+    g = []
+    prev = 0.0                      # 200·d of the pair ending at a
+    for a, b in zip(v, v[1:]):
+        d = b - a * a
+        g.append((2.0 * (a - 1.0) - 400.0 * a * d) + prev)
+        prev = 200.0 * d
+    g.append(0.0 + prev)            # 0.0 + turns -0.0 into 0.0, as zeros do
+    return np.array(g)
 
 
 def _rosenbrock_hess(x):
-    n = x.size
-    H = np.zeros((n, n))
-    for i in range(n - 1):
-        H[i, i] += 2.0 + 1200.0 * x[i] ** 2 - 400.0 * x[i + 1]
-        H[i + 1, i + 1] += 200.0
-        H[i, i + 1] -= 400.0 * x[i]
-        H[i + 1, i] -= 400.0 * x[i]
-    return H
+    v = x.tolist()
+    n = len(v)
+    diag, off = [], []
+    prev = 0.0                      # what the pair ending at a adds at a
+    try:
+        for a, b in zip(v, v[1:]):
+            # a ** 2 is pow(), whose last bit can differ from a * a
+            diag.append(prev + (2.0 + 1200.0 * a ** 2 - 400.0 * b))
+            off.append(0.0 - 400.0 * a)
+            prev = 200.0
+    except OverflowError:
+        # |a| > 1.3e154: float ** raises where numpy's power gives inf; the
+        # Hessian is non-finite either way
+        return np.full((n, n), math.inf)
+    diag.append(prev)
+    H = np.zeros(n * n)
+    H[::n + 1] = diag
+    H[1::n + 1] = off
+    H[n::n + 1] = off
+    return H.reshape(n, n)
 
 
 def _rosenbrock(dim, params):

@@ -77,7 +77,12 @@ class DeltaSchedule:
     random_interval: tuple = (-2.0, 2.0)
 
     def __post_init__(self):
-        deltas = tuple(float(d) for d in np.atleast_1d(self.deltas))
+        try:
+            deltas = tuple(float(d) for d in np.atleast_1d(self.deltas))
+            lo, hi = (float(v) for v in self.random_interval)
+            alpha_positive = bool(self.alpha > 0)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed schedule: {exc}") from exc
         if not deltas:
             raise InvalidInputError("delta schedule needs at least one shift")
         if not np.all(np.isfinite(deltas)):
@@ -85,14 +90,13 @@ class DeltaSchedule:
         if len(set(deltas)) != len(deltas):
             raise InvalidInputError(f"shifts must be distinct, got {deltas}")
         object.__setattr__(self, "deltas", deltas)
-        if not (self.alpha > 0):
+        if not alpha_positive:
             raise InvalidInputError("alpha must be positive")
         if self.h_mode not in ("power", "capped"):
             raise InvalidInputError(
                 f"h_mode must be 'power' or 'capped', got {self.h_mode!r}")
         if self.selection not in ("sequential", "random-per-iteration"):
             raise InvalidInputError(f"unknown selection {self.selection!r}")
-        lo, hi = (float(v) for v in self.random_interval)
         if not lo < hi:
             raise InvalidInputError("random_interval must be increasing")
         object.__setattr__(self, "random_interval", (lo, hi))
@@ -119,9 +123,15 @@ class StopCriteria:
     f_divergence_cap: float = 1e100
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        try:
+            too_few = self.max_iter < 1
+            negative = min(self.grad_tol, self.step_tol,
+                           self.f_divergence_cap) < 0
+        except TypeError as exc:
+            raise InvalidInputError(f"malformed stop criteria: {exc}") from exc
+        if too_few:
             raise InvalidInputError("max_iter must be >= 1")
-        if min(self.grad_tol, self.step_tol, self.f_divergence_cap) < 0:
+        if negative:
             raise InvalidInputError("tolerances must be nonnegative")
 
 
@@ -382,11 +392,12 @@ _USES_DELTAS = ("nqn", "nqn-backtracking")
 def _classify(rec, stop):
     """Termination decision for the newest record, or None to continue."""
     f = rec.f
-    if not math.isfinite(rec.grad_norm) or math.isnan(f) \
-            or np.isnan(rec.x).any():
+    # NaN exactly when a component of x is NaN: inf components and an
+    # overflowing sum of squares give inf
+    nx = _norm(rec.x)
+    if not math.isfinite(rec.grad_norm) or math.isnan(f) or math.isnan(nx):
         return "numerical-error: non-finite iterate"
-    if f > stop.f_divergence_cap or math.isinf(f) \
-            or _norm(rec.x) > X_DIVERGENCE_CAP:
+    if f > stop.f_divergence_cap or math.isinf(f) or nx > X_DIVERGENCE_CAP:
         return "diverged"
     if rec.grad_norm <= stop.grad_tol:
         return "converged"

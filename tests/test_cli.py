@@ -136,6 +136,21 @@ def test_compare_spec_file(tmp_path, capsys):
     assert row["termination"] == "converged"
 
 
+@pytest.mark.parametrize("change", [
+    {"stop": {"maxiter": 5}},                             # unknown stop key
+    {"methods": [{"method": "nqn", "random_interval": [1]}]},
+])
+def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
+    doc = {"objective": "rosenbrock", "params": {"dim": 2},
+           "initial_points": [[0.5, 0.7]], "methods": ["nqn"],
+           "out_dir": str(tmp_path / "runs"), **change}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["compare", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["compare"],                                          # nothing picked
     ["compare", "--suite", "rosenbrock2", "--function", "ex13"],

@@ -183,6 +183,12 @@ def test_unknown_method_key():
                    methods=[{"method": "nqn", "bogus": 1}])
 
 
+def test_unknown_stop_key():
+    with pytest.raises(InvalidInputError, match="maxiter"):
+        build_spec(name="x", objective="rosenbrock", params={"dim": 2},
+                   initial_points=[ROSENBROCK2_X0], stop={"maxiter": 5})
+
+
 def test_unknown_method_name():
     with pytest.raises(InvalidInputError):
         build_spec(name="x", objective="rosenbrock", params={"dim": 2},

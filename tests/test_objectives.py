@@ -11,7 +11,9 @@ from qnewton.objectives import (Objective, catalog_entries, catalog_listing,
                                 normal_sampler, pair_coupling, parse_sequence,
                                 protein_energy, protein_objective,
                                 sample_batch_objective)
-from qnewton.objectives.catalog import _pairwise_exclusion_products
+from qnewton.objectives.catalog import (_pairwise_exclusion_products,
+                                        _rosenbrock_grad, _rosenbrock_hess,
+                                        _rosenbrock_value)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,61 @@ def test_rosenbrock_minimum():
     obj = make_benchmark("rosenbrock", 2)
     assert obj.value([1.0, 1.0]) == 0.0
     assert_allclose(obj.gradient([1.0, 1.0]), [0.0, 0.0], atol=0)
+
+
+# The numpy array forms of the Rosenbrock value, gradient and Hessian: the
+# reference for the catalog's Python-float loops.
+
+def _rosenbrock_value_array(x):
+    return float(((x[:-1] - 1.0) ** 2
+                  + 100.0 * (x[1:] - x[:-1] ** 2) ** 2).sum())
+
+
+def _rosenbrock_grad_array(x):
+    g = np.zeros_like(x)
+    d = x[1:] - x[:-1] ** 2
+    g[:-1] += 2.0 * (x[:-1] - 1.0) - 400.0 * x[:-1] * d
+    g[1:] += 200.0 * d
+    return g
+
+
+def _rosenbrock_hess_array(x):
+    n = x.size
+    H = np.zeros((n, n))
+    for i in range(n - 1):
+        H[i, i] += 2.0 + 1200.0 * x[i] ** 2 - 400.0 * x[i + 1]
+        H[i + 1, i + 1] += 200.0
+        H[i, i + 1] -= 400.0 * x[i]
+        H[i + 1, i] -= 400.0 * x[i]
+    return H
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 9, 30, 100])
+def test_rosenbrock_matches_array_reference(n):
+    rng = np.random.default_rng(n)
+    eps = np.finfo(float).eps
+    for scale in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3):
+        for _ in range(20):
+            x = scale * rng.standard_normal(n)
+            f, ref = _rosenbrock_value(x), _rosenbrock_value_array(x)
+            if n <= 8:
+                # fewer than 8 terms: numpy sums them left to right too
+                assert f == ref
+            else:
+                # numpy's pairwise sum; the bound is set from the dtype
+                assert abs(f - ref) <= 2 * (n - 1) * eps * ref
+            assert np.array_equal(_rosenbrock_grad(x),
+                                  _rosenbrock_grad_array(x))
+            H = _rosenbrock_hess(x)
+            assert H.dtype == np.float64 and H.shape == (n, n)
+            assert np.array_equal(H, H.T)
+            assert np.array_equal(H, _rosenbrock_hess_array(x))
+
+
+def test_rosenbrock_hessian_overflow_is_a_domain_error():
+    obj = make_benchmark("rosenbrock", 3)
+    with pytest.raises(DomainError):
+        obj.hessian([1.0, 1e200, 1.0])
 
 
 def test_griewank_at_origin():

@@ -71,6 +71,12 @@ def test_schedule_validation():
         DeltaSchedule(selection="alphabetical")
     with pytest.raises(InvalidInputError):
         DeltaSchedule(selection="random-per-iteration", random_interval=(2, 2))
+    with pytest.raises(InvalidInputError):
+        DeltaSchedule(random_interval=[1])
+    with pytest.raises(InvalidInputError):
+        DeltaSchedule(deltas=["a"])
+    with pytest.raises(InvalidInputError):
+        DeltaSchedule(alpha="x")
 
 
 def test_schedule_min_gap_and_h():
@@ -88,6 +94,8 @@ def test_stop_criteria_validation():
         StopCriteria(max_iter=0)
     with pytest.raises(InvalidInputError):
         StopCriteria(grad_tol=-1e-3)
+    with pytest.raises(InvalidInputError):
+        StopCriteria(max_iter="ten")
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +543,13 @@ NAN, INF = float("nan"), float("inf")
     (1.0, NAN, [1.0, 2.0], 1.0, "numerical-error: non-finite iterate"),
     (1.0, INF, [1.0, 2.0], 1.0, "numerical-error: non-finite iterate"),
     (1.0, 1.0, [NAN, 2.0], 1.0, "numerical-error: non-finite iterate"),
+    (1.0, 1.0, [NAN, INF], 1.0, "numerical-error: non-finite iterate"),
     (INF, 1.0, [1.0, 2.0], 1.0, "diverged"),
     (-INF, 1.0, [1.0, 2.0], 1.0, "diverged"),
     (1e101, 1.0, [1.0, 2.0], 1.0, "diverged"),
     (1.0, 1.0, [2e10, 0.0], 1.0, "diverged"),
     (1.0, 1.0, [INF, 0.0], 1.0, "diverged"),
+    (1.0, 1.0, [INF, -INF], 1.0, "diverged"),
     (1.0, 1.0, [1e200, 1e200], 1.0, "diverged"),      # |x|^2 overflows
     (1.0, 1.0, [1e10, 1e5], 1.0, "diverged"),         # just over the cap
     (1.0, 1.0, [1e10, 0.0], 1.0, None),               # at the cap

@@ -1,21 +1,27 @@
-"""One hash per benchmark operation, for checking that trajectories match.
+"""One hash and outcome per benchmark operation, to compare trajectories.
 
     python3 tools/trajectory_digest.py --workload dense-hessian --seed 1 2 3
 
 Run from the root of a checkout.  It builds the operation lists of the
 named perfbench workloads (``perfbench/workloads.py``, imported and not
 changed) for each seed, runs every operation once, and prints one line per
-operation: workload, seed, operation id and a SHA-256 over
+operation: workload, seed, operation id, a SHA-256 over
 
 * every field of every ``IterationRecord`` of every run the operation made,
   except ``wall_ns`` (``x`` as its bytes, floats by their bits), with the
   run's termination and error class;
 * every field of each ``ResultRow`` except ``wall_seconds``;
-* a ``RootResult``'s ``z``, ``f_value`` and ``classification``.
+* a ``RootResult``'s ``z``, ``f_value`` and ``classification``;
+
+and, last, each run's outcome as ``iterations:termination-kind`` (for
+example ``23:converged``), comma-separated when the operation made several
+runs.
 
 Two checkouts print equal lines exactly when their trajectories are
-bit-identical.  Diff the output of two checkouts on one machine; the last
-bits depend on the BLAS build, so there is no stored digest to compare to.
+bit-identical.  Where a hash differs, the outcome column shows whether a
+last-bit change moved an iteration count or a termination.  Diff the
+output of two checkouts on one machine; the last bits depend on the BLAS
+build, so there is no stored digest to compare to.
 BLAS is pinned to one thread, as in the benchmark.
 """
 
@@ -73,7 +79,8 @@ class _Capture:
 
 
 def digest_op(op, capture):
-    """Run one operation; the hex digest of its trajectories and results."""
+    """Run one operation; the hex digest of its trajectories and results,
+    and the outcome of each run."""
     capture.traces.clear()
     result = workloads.execute(op)
     parts = []
@@ -86,7 +93,10 @@ def digest_op(op, capture):
     else:
         parts.append(" ".join([_token(result.z), _token(result.f_value),
                                repr(result.classification)]))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    outcomes = ",".join(
+        f"{t.iterations}:{t.termination.partition(': ')[0]}"
+        for t in capture.traces)
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest(), outcomes
 
 
 def main(argv=None):
@@ -107,7 +117,7 @@ def main(argv=None):
                 for seed in args.seed:
                     wl = workloads.build(name, seed, Path(out) / name)
                     for op in wl.ops:
-                        print(name, seed, op.id, digest_op(op, capture),
+                        print(name, seed, op.id, *digest_op(op, capture),
                               flush=True)
     finally:
         for owner, run in zip(owners, saved):
