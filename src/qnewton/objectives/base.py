@@ -1,5 +1,7 @@
 """Objective contract and central finite differences."""
 
+import math
+
 import numpy as np
 
 from ..errors import DomainError
@@ -60,9 +62,14 @@ class Objective:
     back to central finite differences of ``value``; the ``analytic_gradient``
     / ``analytic_hessian`` flags record which is which.
 
-    ``hessian`` returns the symmetrized (H + H.T)/2 and raises DomainError
-    (carrying the point) when it has a non-finite entry, as the
-    finite-difference path does for a non-finite value on its stencil.
+    ``hessian`` returns a new, exactly symmetric array: an entry equal to
+    its mirror is kept as it is, and a pair that differs becomes
+    0.5*H[i, j] + 0.5*H[j, i] (the bits of (H + H.T)/2 in the normal range,
+    without its overflow above DBL_MAX/2).  It raises DomainError (carrying
+    the point) when the result has a non-finite entry, as the
+    finite-difference path does for a non-finite value on its stencil.  A
+    2x2 Hessian is symmetrized on Python floats, which skips numpy's
+    per-call overhead; the rule is the same.
     """
 
     def __init__(self, dim, value, gradient=None, hessian=None, name=""):
@@ -91,8 +98,20 @@ class Objective:
             H = np.asarray(self._hessian(x), dtype=float)
         else:
             H = fd_hessian(self._value, x)
-        H = 0.5 * (H + H.T)
-        if not np.isfinite(H).all():
+        if H.shape == (2, 2):
+            (a, b), (c, d) = H.tolist()
+            if b != c:
+                b = c = 0.5 * b + 0.5 * c
+            # b == c now (or both NaN), so three tests cover four entries
+            finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(d)
+            H = np.array([[a, b], [c, d]])
+        else:
+            half = 0.5 * H
+            S = half + half.T
+            np.copyto(S, H, where=H == H.T)
+            H = S
+            finite = np.isfinite(H).all()
+        if not finite:
             raise DomainError(f"Hessian non-finite at {x!r}",
                               point=np.array(x))
         return H

@@ -14,7 +14,6 @@ and a two-way backtracking gradient descent, all driven by one loop with a
 shared trace format.
 """
 
-import csv
 import json
 import math
 import time
@@ -52,10 +51,10 @@ EPS_SING_RTOL = 1e-13
 # Iterates further out than this are declared divergent.
 X_DIVERGENCE_CAP = 1e10
 
+_EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 100
 _MAX_RANDOM_DRAWS = 100
 _GD_MAX_GROWS = 100
-_GD_MAX_SHRINKS = 200
 
 
 @dataclass(frozen=True)
@@ -177,14 +176,15 @@ class Trace:
     def to_csv(self, path):
         """Write per-iteration rows plus a JSON sidecar with the outcome."""
         path = Path(path)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "f", "grad_norm", "delta", "step_norm",
-                        "ls_backtracks", "wall_ns"])
-            for r in self.records:
-                w.writerow([r.index, repr(r.f), repr(r.grad_norm),
-                            "" if r.delta_used is None else repr(r.delta_used),
-                            repr(r.step_norm), r.ls_backtracks, r.wall_ns])
+        # The bytes csv.writer would write: every field is an integer or a
+        # float repr, so none needs quoting, and rows end in \r\n.
+        rows = "".join(
+            f"{r.index},{r.f!r},{r.grad_norm!r},"
+            f"{'' if r.delta_used is None else repr(r.delta_used)},"
+            f"{r.step_norm!r},{r.ls_backtracks},{r.wall_ns}\r\n"
+            for r in self.records)
+        path.write_text("iter,f,grad_norm,delta,step_norm,ls_backtracks,"
+                        "wall_ns\r\n" + rows, newline="")
         kind, _, detail = self.termination.partition(": ")
         sidecar = {
             "termination": self.termination,
@@ -346,7 +346,10 @@ def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     grow it (divide by 0.7 while the Armijo test keeps passing, up to
     max(1, grad_norm^-1/2)) or shrink it (multiply by 0.7 until the test
     passes).  Armijo test: f(x - lr*g) - f(x) <= -lr/2 * |g|^2; a probe at
-    which f raises fails it.  The accepted probe's value is the record's f.
+    which f raises fails it.  Shrinking stops with StalledLineSearchError
+    once the step lr*|g| is at most eps*max(1, |x|): relative to |x| when
+    |x| > 1, an absolute floor of eps when |x| <= 1.  The accepted probe's
+    value is the record's f.
     """
     state = state if state is not None else {}
     gg = gn * gn
@@ -366,13 +369,15 @@ def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
                 break
             lr = trial
     else:
-        for backtracks in range(1, _GD_MAX_SHRINKS + 1):
+        floor = _EPS * max(1.0, _norm(x))
+        while True:
             lr *= 0.7
+            if lr * gn <= floor:
+                raise StalledLineSearchError(
+                    f"no Armijo learning rate after {backtracks} shrinks")
+            backtracks += 1
             if armijo(lr):
                 break
-        else:
-            raise StalledLineSearchError(
-                f"no Armijo learning rate after {_GD_MAX_SHRINKS} shrinks")
     state["lr"] = lr
     x1 = x - lr * g
     return x1, _partial_record(x1, probed[lr], lr, lr * gn, backtracks)

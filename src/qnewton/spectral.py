@@ -6,12 +6,13 @@ symmetric Schur decomposition (Golub & Van Loan, *Matrix Computations*,
 overflow or in the subnormal range is scaled by a power of two first, so
 it keeps its accuracy.  Its eigenvalues are within 8*eps*max|A| of
 LAPACK's (plus the spacing of the subnormal grid), and its eigenvectors
-are orthonormal to 8*eps.  Every other size goes through LAPACK's divide-and-conquer ``syevd`` as numpy's
-``np.linalg.eigh`` calls it.  Both paths share one output convention:
-eigenvalues ascending, and each eigenvector's sign chosen so that its
-largest-magnitude component is nonnegative (the first one on a tie).  For
-identical input and a fixed BLAS thread count the output is deterministic
-bit for bit, so runs replay exactly.
+are orthonormal to 8*eps.  Every other size goes through LAPACK's
+divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh`` calls it.  Both
+paths share one output convention: eigenvalues ascending, and each
+eigenvector's sign chosen so that its largest-magnitude component is
+nonnegative (the first one on a tie).  For identical input and a fixed
+BLAS thread count the output is deterministic bit for bit, so runs replay
+exactly.
 
 ``reflect_inverse_apply`` implements the core update arithmetic: given the
 eigenpairs of an invertible symmetric A and a vector g, it returns
@@ -21,7 +22,11 @@ eigenpairs of an invertible symmetric A and a vector g, it returns
 i.e. |A|^-1 g, the inverse applied after reflecting negative eigenvalues to
 positive.  Equivalently w = pr+(A^-1 g) - pr-(A^-1 g).  With
 ``signed=True`` it divides by lambda_i itself, which is the Newton step
-A^-1 g.
+A^-1 g.  With two eigenpairs it also runs on Python floats, as
+c_j = (E_0j g_0 + E_1j g_1) / |lambda_j| and w = E c, which skips numpy's
+per-call overhead on 2-element arrays; its result agrees with the array
+form E @ ((E.T @ g) / |lambda|) to within the rounding of those sums.
+Every other size uses the array form.
 """
 
 import math
@@ -179,8 +184,19 @@ def reflect_inverse_apply(decomp, g, signed=False):
         responsible for never letting that happen).
     """
     lam = decomp.eigenvalues
+    g = np.asarray(g, dtype=float)
+    if lam.shape[0] == 2:
+        l0, l1 = lam.tolist()
+        if l0 == 0.0 or l1 == 0.0:
+            raise SingularMatrixError("matrix has a zero eigenvalue")
+        if not signed:
+            l0, l1 = abs(l0), abs(l1)
+        (e00, e01), (e10, e11) = decomp.eigenvectors.tolist()
+        g0, g1 = g.tolist()
+        c0 = (e00 * g0 + e10 * g1) / l0
+        c1 = (e01 * g0 + e11 * g1) / l1
+        return np.array([e00 * c0 + e01 * c1, e10 * c0 + e11 * c1])
     if (lam == 0.0).any():
         raise SingularMatrixError("matrix has a zero eigenvalue")
-    g = np.asarray(g, dtype=float)
     E = decomp.eigenvectors
     return E @ ((E.T @ g) / (lam if signed else np.abs(lam)))

@@ -70,6 +70,53 @@ def test_objective_fd_fallback_and_flags():
                     atol=1e-3)
 
 
+def _hessian_objective(H):
+    n = len(H)
+    return Objective(n, lambda x: 0.0, gradient=lambda x: np.zeros(n),
+                     hessian=lambda x: H)
+
+
+BIG = 1e308          # above DBL_MAX/2: H + H.T overflows here
+
+
+@pytest.mark.parametrize("H", [
+    np.array([[BIG]]),
+    np.array([[1.0, BIG], [BIG, -BIG]]),
+    np.array([[BIG, -BIG, 1.0], [-BIG, 2.0, BIG], [1.0, BIG, -BIG]]),
+], ids=["n1", "n2", "n3"])
+def test_exactly_symmetric_hessian_is_returned_as_it_is(H):
+    out = _hessian_objective(H).hessian(np.zeros(len(H)))
+    assert out.dtype == np.float64 and out.shape == H.shape
+    assert out.tobytes() == H.tobytes()
+    assert out is not H and not np.shares_memory(out, H)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_asymmetric_pair_is_averaged_without_overflow(n):
+    H = np.eye(n)
+    H[0, 1], H[1, 0] = BIG, 1.5e308          # their sum overflows
+    if n == 3:
+        H[0, 2], H[2, 0] = 0.25, 0.75
+    out = _hessian_objective(H).hessian(np.zeros(n))
+    assert out[0, 1] == out[1, 0] == 0.5 * BIG + 0.5 * 1.5e308
+    assert np.array_equal(out, out.T)
+    assert np.array_equal(np.diag(out), np.ones(n))
+    if n == 3:
+        assert out[0, 2] == out[2, 0] == 0.5
+        assert out[1, 2] == out[2, 1] == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_2x2_non_finite_hessian_entry_is_a_domain_error(bad, where):
+    H = np.array([[2.0, 1.0], [1.0, 3.0]])
+    H[where] = bad
+    x = np.array([0.5, -0.25])
+    with pytest.raises(DomainError) as err:
+        _hessian_objective(H).hessian(x)
+    assert np.array_equal(err.value.point, x)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from qnewton.objectives import (Objective, make_benchmark,
                                 make_stochastic_griewank,
                                 sample_batch_objective)
 from qnewton.optimizers import (METHODS, X_DIVERGENCE_CAP, DeltaSchedule,
-                                IterationRecord, StopCriteria, _classify,
+                                IterationRecord, StopCriteria, Trace,
+                                _classify,
                                 backtracking_gd_step, newton_step,
                                 nqn_backtracking_step, nqn_step, run,
                                 select_delta)
@@ -580,6 +581,35 @@ def test_undefined_start_rejected():
     obj = make_benchmark("protein:AAAA")
     with pytest.raises(InvalidInputError):
         run("nqn", obj, np.array([0.3, np.pi]))
+
+
+def _trace_csv_reference(records, path):
+    """The csv.writer loop that Trace.to_csv's rows must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iter", "f", "grad_norm", "delta", "step_norm",
+                    "ls_backtracks", "wall_ns"])
+        for r in records:
+            w.writerow([r.index, repr(r.f), repr(r.grad_norm),
+                        "" if r.delta_used is None else repr(r.delta_used),
+                        repr(r.step_norm), r.ls_backtracks, r.wall_ns])
+
+
+def test_trace_csv_bytes_match_csv_writer(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    records = [
+        IterationRecord(0, np.zeros(2), 1.5, 2.0, None, 0.0, 0, 0),
+        IterationRecord(1, np.zeros(2), nan, inf, -0.0, -inf, 3, 12345),
+        IterationRecord(2, np.zeros(2), -0.0, 5e-324, 1e-310, nan, 0, 7),
+        IterationRecord(3, np.zeros(2), -inf, 2.2250738585072014e-308,
+                        0.1 + 0.2, 1e300, 250, 10 ** 12),
+        IterationRecord(4, np.zeros(2), -1e-320, 0.0, None, 4.9e-324, 1, 0),
+    ]
+    trace = Trace(records=records, termination="max-iter")
+    trace.to_csv(tmp_path / "trace.csv")
+    _trace_csv_reference(records, tmp_path / "reference.csv")
+    assert ((tmp_path / "trace.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -151,3 +151,79 @@ def test_eigh_2x2_matches_lapack(A):
         v = V[:, j]
         peak = 0 if abs(v[0]) >= abs(v[1]) else 1     # first one on a tie
         assert v[peak] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 reflected apply and Hessian wrapper on Python floats
+# ---------------------------------------------------------------------------
+
+APPLY2_RTOL = 16.0         # error bound, in units of eps * the sum below
+
+
+def _reflect_apply_array(dec, g, signed):
+    """The array form that the 2x2 apply replaced."""
+    E, lam = dec.eigenvectors, dec.eigenvalues
+    return E @ ((E.T @ g) / (lam if signed else np.abs(lam)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(A=_sym2(), g=arrays(np.float64, 2, elements=_entry),
+       signed=st.booleans())
+@example(A=np.array([[2.0, -3.0], [-3.0, 2.0]]), g=np.array([1.0, -1.0]),
+         signed=False)
+@example(A=np.array([[1e-300, 0.0], [0.0, -1e300]]),
+         g=np.array([1e-10, 1e10]), signed=True)
+def test_reflect_inverse_apply_2x2_matches_the_array_form(A, g, signed):
+    from qnewton.spectral import eigh, reflect_inverse_apply
+    dec = eigh(A)
+    assume((dec.eigenvalues != 0.0).all())
+    with np.errstate(all="ignore"):
+        want = _reflect_apply_array(dec, g, signed)
+        # component i: sum_j |E_ij| (|E_0j g_0| + |E_1j g_1|) / |lambda_j|
+        E = np.abs(dec.eigenvectors)
+        bound = APPLY2_RTOL * EPS * (
+            E @ ((E.T @ np.abs(g)) / np.abs(dec.eigenvalues)))
+    assume(np.isfinite(want).all())
+    w = reflect_inverse_apply(dec, g, signed=signed)
+    assert w.dtype == np.float64 and w.shape == (2,)
+    assert np.all(np.abs(w - want) <= bound)
+
+
+def _hessian_of(H):
+    from qnewton.objectives import Objective
+    return Objective(len(H), lambda x: 0.0, hessian=lambda x: H).hessian(
+        np.zeros(len(H)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(H=_sym2())
+def test_2x2_hessian_keeps_the_bits_of_the_array_form(H):
+    with np.errstate(over="ignore"):
+        want = 0.5 * (H + H.T)
+    if not np.isfinite(want).all():
+        want = H        # the array form overflowed; H itself is returned
+    assert _hessian_of(H).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_entry, b=_entry, c=_entry, d=_entry)
+@example(a=1.0, b=1e308, c=1.5e308, d=1.0)
+@example(a=1.0, b=5e-324, c=-5e-324, d=1.0)
+def test_2x2_hessian_follows_the_array_rule(a, b, c, d):
+    # the n = 2 float path against the numpy path, which a 3x3 with the
+    # 2x2 as its leading block takes
+    from qnewton.errors import DomainError
+    H2 = np.array([[a, b], [c, d]])
+    H3 = np.eye(3)
+    H3[:2, :2] = H2
+    try:
+        got = _hessian_of(H2)
+    except DomainError:
+        got = None
+    try:
+        want = _hessian_of(H3)[:2, :2]
+    except DomainError:
+        want = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -218,6 +218,19 @@ def test_backtracking_gd_on_a_polynomial_never_reports_a_pole():
     assert "pole" not in res.trace.termination
 
 
+@pytest.mark.parametrize("name", ["g1", "g5"])
+def test_backtracking_gd_shrinks_past_200_to_a_root(name):
+    # from these starts |g|^2 is so steep that the first accepted learning
+    # rate lies more than 200 shrinks by 0.7 below the initial one
+    res = find_root(builtin(name), ROOT_STARTS[name],
+                    method="backtracking-gd")
+    records = res.trace.records
+    assert res.trace.iterations >= 1
+    assert records[1].f < records[0].f
+    assert records[1].ls_backtracks > 200
+    assert res.classification == "root-of-g"
+
+
 # ---------------------------------------------------------------------------
 # evaluators against library oracles
 # ---------------------------------------------------------------------------

@@ -75,6 +75,14 @@ def test_zero_eigenvalue_rejected():
         reflect_inverse_apply(dec, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("diag", [[0.0, 1.0], [-2.0, 0.0], [-0.0, -0.0]])
+def test_2x2_zero_eigenvalue_rejected(diag, signed):
+    dec = eigh(np.diag(diag))
+    with pytest.raises(SingularMatrixError):
+        reflect_inverse_apply(dec, np.array([1.0, 1.0]), signed=signed)
+
+
 def test_asymmetric_rejected():
     with pytest.raises(InvalidInputError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
