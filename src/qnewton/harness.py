@@ -24,7 +24,8 @@ from .fixtures import (ABBBA_STARTS, GRIEWANK15_X0, ROSENBROCK2_X0,
                        STOCHASTIC_GRIEWANK_SEED, STOCHASTIC_GRIEWANK_X0,
                        STYBLINSKI100_X0)
 from .objectives import make_benchmark, make_stochastic_griewank
-from .optimizers import METHODS, DeltaSchedule, StopCriteria, run
+from .optimizers import (METHODS, DeltaSchedule, StopCriteria, _write_utf8,
+                         run)
 
 # A method entry of the experiment JSON holds these keys besides "method":
 # every DeltaSchedule field, and any StopCriteria field as a per-method stop.
@@ -100,7 +101,7 @@ class ExperimentSpec:
             "stop": {k: getattr(self.stop, k) for k in _STOP_KEYS},
             "seed": self.seed,
             "out_dir": self.out_dir,
-        }, indent=2)
+        })
 
 
 def _resolve_objective(objective, params, seed):
@@ -186,20 +187,22 @@ def x0_digest(x0):
     return hashlib.sha1(data).hexdigest()[:10]
 
 
-def run_to_row(method, objective, obj, x0, sched, stop, seed, trace_path):
+def run_to_row(method, objective, obj, x0, sched, stop, seed, trace_path,
+               digest=None):
     """Run ``method`` on ``obj`` from x0, write the trace, return its row.
 
     ``objective`` is the name the row reports and ``wall_seconds`` times
-    the run alone.  Errors from the run propagate to the caller.
+    the run alone; ``digest`` is x0's ``x0_digest``, when the caller has it.
+    Errors from the run propagate to the caller.
     """
     t0 = time.perf_counter()
     trace = run(method, obj, np.asarray(x0), sched=sched, stop=stop,
                 seed=seed)
     wall = time.perf_counter() - t0
     trace.to_csv(trace_path)
-    return ResultRow(method, objective, x0_digest(x0), trace.iterations,
-                     trace.final_f, trace.final_grad_norm, wall,
-                     trace.termination)
+    return ResultRow(method, objective, digest or x0_digest(x0),
+                     trace.iterations, trace.final_f, trace.final_grad_norm,
+                     wall, trace.termination)
 
 
 def _one_run(spec, obj, cfg, x0, job_index, out_path):
@@ -209,7 +212,7 @@ def _one_run(spec, obj, cfg, x0, job_index, out_path):
     try:
         return run_to_row(cfg.method, spec.objective, obj, x0, cfg.sched,
                           cfg.stop or spec.stop, seed,
-                          out_path / f"{cfg.method}-{digest}.csv")
+                          out_path / f"{cfg.method}-{digest}.csv", digest)
     except Exception as exc:  # a failed run is a row, never a batch abort
         wall = time.perf_counter() - t0
         return ResultRow(cfg.method, spec.objective, digest, 0,
@@ -221,14 +224,13 @@ def run_experiment(spec):
     obj = _resolve_objective(spec.objective, spec.params, spec.seed)
     out_path = Path(spec.out_dir) if spec.out_dir else results_root() / spec.name
     out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / "experiment.json").write_text(spec.to_json())
+    _write_utf8(out_path / "experiment.json", spec.to_json())
 
     jobs = [(cfg, x0) for cfg in spec.methods for x0 in spec.initial_points]
     rows = [_one_run(spec, obj, cfg, x0, i, out_path)
             for i, (cfg, x0) in enumerate(jobs)]
 
-    report = emit_report(rows, "csv")
-    (out_path / "rows.csv").write_text(report)
+    _write_utf8(out_path / "rows.csv", emit_report(rows, "csv"))
     return rows
 
 

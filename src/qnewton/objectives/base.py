@@ -106,10 +106,14 @@ class Objective:
             finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(d)
             H = np.array([[a, b], [c, d]])
         else:
-            half = 0.5 * H
-            S = half + half.T
-            np.copyto(S, H, where=H == H.T)
-            H = S
+            mirror = H == H.T
+            if mirror.all():
+                H = H.copy()
+            else:
+                half = 0.5 * H
+                S = half + half.T
+                np.copyto(S, H, where=mirror)
+                H = S
             finite = np.isfinite(H).all()
         if not finite:
             raise DomainError(f"Hessian non-finite at {x!r}",

@@ -16,6 +16,7 @@ shared trace format.
 
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -44,8 +45,12 @@ _PROBE_FAILURES = (DomainError, OverflowError, ZeroDivisionError,
                    FloatingPointError)
 
 # A shifted matrix counts as invertible when its smallest eigenvalue
-# magnitude clears this fraction of the largest.  Purely relative: scaling
-# the objective by a constant cannot change which shift is selected.
+# magnitude clears this fraction of the largest.  The bar scales with H but
+# the shift delta*h(||grad f||) does not (it grows like ||grad f||^(1+alpha),
+# or is capped at |delta|), so scaling the objective by a constant can change
+# which shift is selected, and can make every shift fail once delta = 0 is
+# rejected: select_delta(c*diag(1, 0), c*1e-3) takes delta = 1 at c = 1 and
+# finds none at c = 1e-8.
 EPS_SING_RTOL = 1e-13
 
 # Iterates further out than this are declared divergent.
@@ -183,8 +188,8 @@ class Trace:
             f"{'' if r.delta_used is None else repr(r.delta_used)},"
             f"{r.step_norm!r},{r.ls_backtracks},{r.wall_ns}\r\n"
             for r in self.records)
-        path.write_text("iter,f,grad_norm,delta,step_norm,ls_backtracks,"
-                        "wall_ns\r\n" + rows, newline="")
+        _write_utf8(path, "iter,f,grad_norm,delta,step_norm,ls_backtracks,"
+                          "wall_ns\r\n" + rows)
         kind, _, detail = self.termination.partition(": ")
         sidecar = {
             "termination": self.termination,
@@ -197,8 +202,25 @@ class Trace:
         }
         if kind == "numerical-error":
             sidecar["error"] = {"class": self.error_class, "detail": detail}
-        path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+        # no indent: json's C encoder runs only without one
+        _write_utf8(path.with_suffix(".json"), json.dumps(sidecar))
         return path
+
+
+def _write_utf8(path, text):
+    """Write ``text`` to ``path`` as UTF-8, replacing what the file held.
+
+    One open, as many writes as the bytes take, and one close, without the
+    syscalls and Python that ``Path.write_text``'s text layer adds per
+    file.  A new file gets mode 0o666 less the umask, as with ``write_text``.
+    """
+    view = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _magnitude_range(lam, shift=0.0):

@@ -147,6 +147,56 @@ def test_non_finite_hessian_run_writes_its_trace(tmp_path):
     assert sidecar["error"]["class"] == "DomainError"
 
 
+def _canonical(doc):
+    """``doc`` with every float as its repr, so NaN compares equal to NaN."""
+    if isinstance(doc, dict):
+        return {k: _canonical(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_canonical(v) for v in doc]
+    return repr(doc) if isinstance(doc, float) else doc
+
+
+def test_written_json_parses_as_the_indented_form(tmp_path, monkeypatch):
+    # every JSON file the run path writes, against json.dumps(doc, indent=2)
+    # of the document it was written from, the form files had before
+    real_dumps, written = json.dumps, {}
+
+    def recording_dumps(doc, **kwargs):
+        text = real_dumps(doc, **kwargs)
+        written[text] = doc
+        return text
+
+    monkeypatch.setattr(json, "dumps", recording_dumps)
+    spec = rosen2_spec(tmp_path, methods=["nqn", "backtracking-gd"])
+    rows = run_experiment(spec)
+    # f is NaN and the gradient infinite below 0.5; nqn's first step is 0
+    obj = Objective(1, lambda x: 0.5 * x[0] ** 2 if x[0] > 0.5 else math.nan,
+                    gradient=lambda x: np.array(
+                        [x[0] if x[0] > 0.5 else math.inf]),
+                    hessian=lambda x: np.array([[1.0]]), name="nan-below")
+    nan_row = run_to_row("nqn", "nan-below", obj, (1.0,), DeltaSchedule(),
+                         StopCriteria(), None, tmp_path / "nan-below.csv")
+    monkeypatch.undo()
+    assert nan_row.termination == "numerical-error: non-finite iterate"
+
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == len(rows) + 2      # sidecars and experiment.json
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text
+        indented = real_dumps(written[text], indent=2)
+        assert (_canonical(json.loads(text))
+                == _canonical(json.loads(indented)))
+
+    # perfbench/checks.py matches these three reprs
+    sidecar = json.loads((tmp_path / "nan-below.json").read_text())
+    assert sidecar["final_grad_norm"] == math.inf
+    with open(tmp_path / "nan-below.csv", newline="") as fh:
+        last_f = list(csv.DictReader(fh))[-1]["f"]
+    assert last_f == repr(sidecar["final_f"]) == repr(nan_row.final_f) \
+        == "nan"
+
+
 def test_failed_run_is_a_row_not_an_abort(tmp_path):
     # ex11 cannot be evaluated at 0.0, so that job fails; from the good
     # start the iterate wanders below 0 mid-run, which is a trace-level

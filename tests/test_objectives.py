@@ -106,6 +106,44 @@ def test_asymmetric_pair_is_averaged_without_overflow(n):
         assert out[1, 2] == out[2, 1] == 0.0
 
 
+def _symmetrize_array(H):
+    """The numpy form of the symmetrize rule, without the symmetric shortcut."""
+    half = 0.5 * H
+    S = half + half.T
+    np.copyto(S, H, where=H == H.T)
+    return S
+
+
+def _catalog_hessian(name, dim):
+    x = np.random.default_rng(1).uniform(-5, 5, dim)
+    return np.asarray(make_benchmark(name, dim)._hessian(x), dtype=float)
+
+
+def _mixed_hessian():
+    # one asymmetric pair, and an equal pair that averaging would change:
+    # 0.5 * 5e-324 rounds to 0
+    H = np.eye(3)
+    H[0, 1], H[1, 0] = 0.25, 0.75
+    H[0, 2] = H[2, 0] = 5e-324
+    return H
+
+
+# Rosenbrock's Hessian is built exactly symmetric and takes the copy;
+# Griewank's forms the product for [a, b] and [b, a] in different orders,
+# so some pairs differ in the last bits and are averaged.
+@pytest.mark.parametrize("make, symmetric", [
+    (lambda: _catalog_hessian("rosenbrock", 30), True),
+    (lambda: _catalog_hessian("griewank", 15), False),
+    (_mixed_hessian, False),
+], ids=["rosenbrock30", "griewank15", "subnormal-pair"])
+def test_numpy_path_matches_the_array_rule(make, symmetric):
+    H = make()
+    assert np.array_equal(H, H.T) == symmetric
+    out = _hessian_objective(H).hessian(np.zeros(len(H)))
+    assert np.array_equal(out, _symmetrize_array(H))
+    assert out is not H and not np.shares_memory(out, H)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_2x2_non_finite_hessian_entry_is_a_domain_error(bad, where):

@@ -1,7 +1,10 @@
 """Step rules, shift selection, the run driver, and trace serialization."""
 
 import csv
+import errno
 import json
+import os
+import stat
 import warnings
 from collections import Counter
 
@@ -15,7 +18,7 @@ from qnewton.objectives import (Objective, make_benchmark,
                                 sample_batch_objective)
 from qnewton.optimizers import (METHODS, X_DIVERGENCE_CAP, DeltaSchedule,
                                 IterationRecord, StopCriteria, Trace,
-                                _classify,
+                                _classify, _write_utf8,
                                 backtracking_gd_step, newton_step,
                                 nqn_backtracking_step, nqn_step, run,
                                 select_delta)
@@ -137,6 +140,20 @@ def test_select_delta_exhaustion():
     with pytest.raises(NoValidDeltaError) as err:
         select_delta(np.diag([0.0, 1e15]), 1.0)
     assert "tried" in str(err.value)
+
+
+@pytest.mark.parametrize("h_mode", ["capped", "power"])
+def test_scaling_the_objective_changes_the_selected_shift(h_mode):
+    # EPS_SING_RTOL's bar scales with H and the shift delta*h does not, so
+    # once delta = 0 is rejected the same problem at another scale can
+    # exhaust the list
+    sched = DeltaSchedule(h_mode=h_mode)
+    H = np.diag([1.0, 0.0])
+    delta, _ = select_delta(H, 1e-3, sched)
+    assert delta == 1.0
+    c = 1e-8
+    with pytest.raises(NoValidDeltaError):
+        select_delta(c * H, c * 1e-3, sched)
 
 
 def test_select_delta_random_mode_seeded():
@@ -646,3 +663,72 @@ def test_trace_csv_roundtrip(tmp_path):
     assert sidecar["error"]["class"] == "NoValidDeltaError"
     assert sidecar["error"]["detail"].startswith("no shift produced")
     assert trace.termination == "numerical-error: " + sidecar["error"]["detail"]
+
+
+# ---------------------------------------------------------------------------
+# the file writer behind every trace, sidecar and experiment file
+# ---------------------------------------------------------------------------
+
+def test_write_utf8_replaces_a_longer_file(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"x" * 1000)
+    _write_utf8(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+
+
+def test_write_utf8_mode_is_that_of_write_text(tmp_path):
+    old = os.umask(0o002)
+    try:
+        _write_utf8(tmp_path / "a", "a")
+        (tmp_path / "b").write_text("b")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "a").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "b").st_mode) == 0o664
+
+
+def test_write_utf8_encodes_as_utf8(tmp_path):
+    text = "δ = 1 · ‖∇f‖ ≥ 0, 𝔼[x]\r\n"
+    _write_utf8(tmp_path / "u.txt", text)
+    assert (tmp_path / "u.txt").read_bytes() == text.encode("utf-8")
+
+
+def test_write_utf8_finishes_short_writes(tmp_path, monkeypatch):
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(real_write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    text = "".join(f"{i},{i * 0.1!r}\r\n" for i in range(50))
+    _write_utf8(tmp_path / "s.csv", text)
+    monkeypatch.undo()
+    assert (tmp_path / "s.csv").read_bytes() == text.encode()
+    assert max(sizes) == 7 and len(sizes) == -(-len(text) // 7)
+
+
+def test_write_utf8_closes_when_the_write_fails(tmp_path, monkeypatch):
+    real_open, real_close = os.open, os.close
+    opened, closed = [], []
+
+    def recording_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    def failing_write(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def recording_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "write", failing_write)
+    monkeypatch.setattr(os, "close", recording_close)
+    with pytest.raises(OSError):
+        _write_utf8(tmp_path / "full.txt", "data")
+    monkeypatch.undo()
+    assert len(opened) == 1 and closed == opened
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
