@@ -10,7 +10,7 @@ class InvalidInputError(QNewtonError, ValueError):
 
 
 class NoConvergenceError(QNewtonError, RuntimeError):
-    """Iterative kernel exceeded its internal iteration cap."""
+    """LAPACK's symmetric eigensolver (``eigh``) failed to converge."""
 
 
 class SingularMatrixError(QNewtonError, RuntimeError):

@@ -71,7 +71,13 @@ class ExperimentSpec:
     @staticmethod
     def from_json(text):
         """Build a spec from a JSON document (see README for the schema)."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"spec is not JSON: {exc}") from exc
+        if not isinstance(doc, dict) or "objective" not in doc:
+            raise InvalidInputError(
+                'a spec is a JSON object with an "objective"')
         return build_spec(
             name=doc.get("name", doc["objective"]),
             objective=doc["objective"],
@@ -124,9 +130,13 @@ def build_spec(name, objective, params=None, initial_points=None,
     ``initial_points`` is either an iterable of points or a dict
     {count, box: [lo, hi], seed} drawn uniformly; ``methods`` entries are
     method-id strings or dicts with schedule/stop overrides; ``stop`` is a
-    StopCriteria or a dict of its fields.
+    StopCriteria or a dict of its fields.  A malformed value raises
+    InvalidInputError.
     """
-    params = dict(params or {})
+    if seed is not None and not (isinstance(seed, (int, np.integer))
+                                 and seed >= 0):
+        raise InvalidInputError(
+            f"seed must be a nonnegative integer, got {seed!r}")
     if isinstance(stop, dict):
         unknown = set(stop) - set(_STOP_KEYS)
         if unknown:
@@ -134,20 +144,30 @@ def build_spec(name, objective, params=None, initial_points=None,
         stop = StopCriteria(**stop)
     stop = stop or StopCriteria()
 
-    dim = _resolve_objective(objective, params, seed).dim
+    try:
+        params = dict(params or {})
+        dim = _resolve_objective(objective, params, seed).dim
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed params: {exc}") from exc
 
     if initial_points is None:
         raise InvalidInputError("initial_points is required")
-    if isinstance(initial_points, dict):
-        rng = np.random.default_rng(initial_points.get("seed", seed))
-        lo, hi = initial_points.get("box", (-2.0, 2.0))
-        count = int(initial_points.get("count", 1))
-        pts = rng.uniform(lo, hi, size=(count, dim))
-    else:
-        pts = np.atleast_2d(np.asarray(list(initial_points), dtype=float))
-    if pts.shape[1] != dim:
+    try:
+        if isinstance(initial_points, dict):
+            rng = np.random.default_rng(initial_points.get("seed", seed))
+            lo, hi = initial_points.get("box", (-2.0, 2.0))
+            count = int(initial_points.get("count", 1))
+            pts = rng.uniform(lo, hi, size=(count, dim))
+        else:
+            pts = np.atleast_2d(np.asarray(list(initial_points), dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed initial_points: {exc}") from exc
+    if pts.ndim != 2 or pts.shape[1] != dim:
         raise InvalidInputError(
-            f"initial points have dim {pts.shape[1]}, objective has {dim}")
+            f"initial points have shape {pts.shape[1:]}, objective has "
+            f"dim {dim}")
 
     configs = []
     for entry in methods:

@@ -286,11 +286,6 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
-def _grad_and_norm(obj, x):
-    g = obj.gradient(x)
-    return g, _norm(g)
-
-
 def _probe(obj, x):
     """f(x) at a line-search probe, or NaN (which fails every Armijo test)
     if f raises one of the _PROBE_FAILURES there."""
@@ -300,24 +295,18 @@ def _probe(obj, x):
         return math.nan
 
 
-def _partial_record(x, f, delta, step_norm, backtracks):
-    return IterationRecord(-1, x, f, float("nan"), delta, step_norm,
-                           backtracks, 0)
-
-
 # Step contract: step(obj, x, f(x), grad f(x), |grad f(x)|, sched, rng,
-# state) returns (x_next, record).  A line-search step sets record.f to the
-# value of its accepted probe, f(x_next); the others leave it None.  run
-# evaluates the gradient at x_next, and f too unless the step supplied it
-# on a deterministic objective, so no step calls obj.gradient and no point
-# is evaluated twice.
+# state) returns (x_next, f_next, delta, step_norm, backtracks).  A
+# line-search step returns the value of its accepted probe, f(x_next), as
+# f_next; the others return None.  run evaluates the gradient at x_next,
+# and f too unless the step supplied it on a deterministic objective, so no
+# step calls obj.gradient and no point is evaluated twice.
 
 def nqn_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
-    """One shifted-reflected-Newton update; returns (x_next, record)."""
+    """One shifted-reflected-Newton update (see the step contract above)."""
     delta, dec = select_delta(obj.hessian(x), gn, sched, rng)
     w = reflect_inverse_apply(dec, g)
-    x1 = x - w
-    return x1, _partial_record(x1, None, delta, _norm(w), 0)
+    return x - w, None, delta, _norm(w), 0
 
 
 def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
@@ -335,8 +324,7 @@ def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
         x1 = x - beta * w
         f1 = _probe(obj, x1)
         if f1 - f <= -0.5 * beta * wg:
-            return x1, _partial_record(x1, f1, delta, beta * _norm(w),
-                                       halvings)
+            return x1, f1, delta, beta * _norm(w), halvings
         beta *= 0.5
     raise StalledLineSearchError(
         f"no Armijo step after {_MAX_HALVINGS} halvings (f={f!r})")
@@ -347,7 +335,7 @@ def newton_step(obj, x, f, g, gn, sched=None, rng=None, state=None,
     """Classical Newton through the same spectral path (signed eigenvalues).
 
     With ``damped`` the step is scaled by a fresh uniform draw from (0, 2),
-    recorded as the record's delta.
+    returned as the step's delta.
     """
     dec = eigh(obj.hessian(x))
     amin, amax = _magnitude_range(dec.eigenvalues.tolist())
@@ -356,9 +344,7 @@ def newton_step(obj, x, f, g, gn, sched=None, rng=None, state=None,
             f"singular Hessian in {'damped ' if damped else ''}Newton update")
     damping = float(rng.uniform(0.0, 2.0)) if damped else 1.0
     w = damping * reflect_inverse_apply(dec, g, signed=True)
-    x1 = x - w
-    return x1, _partial_record(x1, None, damping if damped else None,
-                               _norm(w), 0)
+    return x - w, None, damping if damped else None, _norm(w), 0
 
 
 def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
@@ -371,7 +357,7 @@ def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     which f raises fails it.  Shrinking stops with StalledLineSearchError
     once the step lr*|g| is at most eps*max(1, |x|): relative to |x| when
     |x| > 1, an absolute floor of eps when |x| <= 1.  The accepted probe's
-    value is the record's f.
+    value is returned as f_next.
     """
     state = state if state is not None else {}
     gg = gn * gn
@@ -401,8 +387,7 @@ def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
             if armijo(lr):
                 break
     state["lr"] = lr
-    x1 = x - lr * g
-    return x1, _partial_record(x1, probed[lr], lr, lr * gn, backtracks)
+    return x - lr * g, probed[lr], lr, lr * gn, backtracks
 
 
 METHODS = {
@@ -466,7 +451,8 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
     cur = sample_batch_objective(obj, 0) if stochastic else obj
     try:
         f = cur.value(x)
-        g, gn = _grad_and_norm(cur, x)
+        g = cur.gradient(x)
+        gn = _norm(g)
     except _STEP_FAILURES as exc:
         raise InvalidInputError(f"objective undefined at x0: {exc}") from exc
     records = [IterationRecord(0, x.copy(), f, gn, None, 0.0, 0, 0)]
@@ -478,20 +464,20 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
         k += 1
         t0 = time.perf_counter_ns()
         try:
-            x, rec = step(cur, x, f, g, gn, sched, rng, state)
+            x, f, delta, step_norm, backtracks = step(cur, x, f, g, gn,
+                                                      sched, rng, state)
             if stochastic:
                 cur = sample_batch_objective(obj, k)
-            if stochastic or rec.f is None:
-                rec.f = cur.value(x)
-            f = rec.f
-            g, gn = _grad_and_norm(cur, x)
+            if stochastic or f is None:
+                f = cur.value(x)
+            g = cur.gradient(x)
+            gn = _norm(g)
         except _STEP_FAILURES as exc:
             termination = f"numerical-error: {exc}"
             error_class = type(exc).__name__
             break
-        rec.wall_ns = time.perf_counter_ns() - t0
-        rec.index = k
-        rec.grad_norm = gn
+        rec = IterationRecord(k, x, f, gn, delta, step_norm, backtracks,
+                              time.perf_counter_ns() - t0)
         records.append(rec)
         termination = _classify(rec, stop)
     if termination is None:

@@ -13,7 +13,6 @@ escape them.
 import cmath
 import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,10 @@ POLE_GUARD = 1e50
 class MeroFunction:
     """g with its first two complex derivatives and a near-pole threshold.
 
-    The callables are used as given.  The builders below (and ``builtin``)
-    make g, g' and g'' share one evaluation of their triple per point.
+    ``eval_all(z)`` returns (g, g', g'') at z; ``mero_objective`` calls it
+    once per point, so a hand-built MeroFunction has each of its three
+    callables called once per point, line-search probes included.  The
+    builders below evaluate the three together, from one triple.
     """
 
     g: object
@@ -42,6 +43,17 @@ class MeroFunction:
 
     def eval_all(self, z):
         return complex(self.g(z)), complex(self.g1(z)), complex(self.g2(z))
+
+
+@dataclass(frozen=True)
+class _TripleMero(MeroFunction):
+    """A builder's MeroFunction: ``triple(z)`` returns (g, g', g'') as
+    complex numbers, and ``eval_all`` is that one call."""
+
+    triple: object = None
+
+    def eval_all(self, z):
+        return self.triple(z)
 
 
 @dataclass
@@ -73,28 +85,36 @@ def mero_objective(m):
     With w = conj(g)*g': grad f = (2 Re w, -2 Im w).  With s = |g'|^2 and
     t = conj(g)*g'': Hess f = [[2(s + Re t), -2 Im t], [-2 Im t, 2(s - Re t)]].
     Both follow from u_y = -v_x, v_y = u_x applied to f = u^2 + v^2.
+
+    The latest point's (g, g', g'') is kept, keyed by the bytes of x, so
+    the value, gradient and Hessian at one point call ``m.eval_all`` and
+    check for a pole once.  A point at which either raises keeps nothing.
     """
+    key = vals = None
+
+    def at(x):
+        nonlocal key, vals
+        k = x.tobytes()
+        if k != key:
+            z = complex(x[0], x[1])
+            v = m.eval_all(z)
+            _check_pole(m, z, v[0])
+            key, vals = k, v
+        return vals
 
     def value(x):
-        z = complex(x[0], x[1])
-        gv = complex(m.g(z))
-        _check_pole(m, z, gv)
+        gv = at(x)[0]
         return float(gv.real ** 2 + gv.imag ** 2)
 
     def grad(x):
-        z = complex(x[0], x[1])
-        gv = complex(m.g(z))
-        _check_pole(m, z, gv)
-        w = gv.conjugate() * complex(m.g1(z))
+        gv, g1, _ = at(x)
+        w = gv.conjugate() * g1
         return np.array([2.0 * w.real, -2.0 * w.imag])
 
     def hess(x):
-        z = complex(x[0], x[1])
-        gv = complex(m.g(z))
-        _check_pole(m, z, gv)
-        g1 = complex(m.g1(z))
+        gv, g1, g2 = at(x)
         s = g1.real ** 2 + g1.imag ** 2
-        t = gv.conjugate() * complex(m.g2(z))
+        t = gv.conjugate() * g2
         return np.array([[2.0 * (s + t.real), -2.0 * t.imag],
                          [-2.0 * t.imag, 2.0 * (s - t.real)]])
 
@@ -138,42 +158,13 @@ def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None,
 # evaluators
 # --------------------------------------------------------------------------
 
-def _point_key(z):
-    """Bit-exact identity of a Python complex point, or None (not cached).
-
-    Every caller in the package passes a complex.  Other scalar types are
-    still evaluated, just not cached: a float or a numpy scalar with an
-    equal value can give different bits or result types.  Values are
-    compared by their bytes, so -0.0 and 0.0 stay apart.
-    """
-    if type(z) is complex:
-        return struct.pack("<dd", z.real, z.imag)
-    return None
-
-
-def _shared_triple(triple, name):
-    """A MeroFunction whose g, g' and g'' share one evaluation per point.
-
-    ``triple(z)`` returns (g, g', g'') together.  The most recent point's
-    triple is kept, so the value, gradient and Hessian of |g|^2 at one
-    point (and the classification at the end of a run) evaluate it once.
-    A call that raises caches nothing; an input with no key is not cached.
-    """
-    last = [(None, None)]        # (key, triple) of the latest point
-
-    def at(z):
-        key = _point_key(z)
-        last_key, vals = last[0]
-        if key is None or key != last_key:
-            vals = triple(z)
-            if key is not None:
-                last[0] = (key, vals)
-        return vals
-
-    return MeroFunction(g=lambda z: at(z)[0],
-                        g1=lambda z: at(z)[1],
-                        g2=lambda z: at(z)[2],
-                        name=name)
+def _from_triple(triple, name):
+    """The MeroFunction of ``triple``: ``eval_all`` calls it once, and g,
+    g' and g'' each call it and take their part."""
+    return _TripleMero(g=lambda z: triple(z)[0],
+                       g1=lambda z: triple(z)[1],
+                       g2=lambda z: triple(z)[2],
+                       name=name, triple=triple)
 
 
 def poly_mero(coeffs, name=""):
@@ -192,7 +183,7 @@ def poly_mero(coeffs, name=""):
             b = b * z + c
         return b, d, 2.0 * e
 
-    return _shared_triple(triple, name or "poly")
+    return _from_triple(triple, name or "poly")
 
 
 def poly_from_roots(root_mults, name=""):
@@ -216,7 +207,7 @@ def poly_from_roots(root_mults, name=""):
                          v * u2 + 2.0 * d1 * u1 + d2 * u)
         return v, d1, d2
 
-    return _shared_triple(triple, name or "poly-factored")
+    return _from_triple(triple, name or "poly-factored")
 
 
 def zeta_partial(n_terms, name=""):
@@ -231,7 +222,7 @@ def zeta_partial(n_terms, name=""):
                 complex(np.sum(-lns * e)),
                 complex(np.sum(lns * lns * e)))
 
-    return _shared_triple(triple, name or f"zeta-partial-{n_terms}")
+    return _from_triple(triple, name or f"zeta-partial-{n_terms}")
 
 
 def exp_rational_derivative(p_coeffs, q_coeffs, name=""):
@@ -265,7 +256,7 @@ def exp_rational_derivative(p_coeffs, q_coeffs, name=""):
                 M / q0 ** 3,
                 (M1 * q0 - 3.0 * M * q1) / q0 ** 4)
 
-    return _shared_triple(triple, name or "exp-rational-derivative")
+    return _from_triple(triple, name or "exp-rational-derivative")
 
 
 # The printed z^18 in the degree-8 slot of this coefficient list is a typo:

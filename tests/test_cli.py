@@ -139,6 +139,12 @@ def test_compare_spec_file(tmp_path, capsys):
 @pytest.mark.parametrize("change", [
     {"stop": {"maxiter": 5}},                             # unknown stop key
     {"methods": [{"method": "nqn", "random_interval": [1]}]},
+    {"params": {"dim": "two"}},
+    {"initial_points": [[0.5, "a"]]},
+    {"objective": "stochastic-griewank", "params": {"batch_size": "ten"}},
+    {"seed": "x"},
+    {"seed": -1},
+    {"seed": 1.5},
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},
@@ -149,6 +155,14 @@ def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     assert run_cli(["compare", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"params": {}}', "{bad json"])
+def test_compare_malformed_spec_document_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert run_cli(["compare", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -225,23 +225,23 @@ def test_select_delta_shifted_spectrum_matches_direct_decomposition():
 # ---------------------------------------------------------------------------
 
 def test_nqn_step_quadratic_exact():
-    x1, rec = nqn_step(quadratic_1d(), *at(quadratic_1d(), [1.0]))
+    x1, _, delta, _, _ = nqn_step(quadratic_1d(), *at(quadratic_1d(), [1.0]))
     assert x1[0] == 0.0
-    assert rec.delta_used == 0.0
+    assert delta == 0.0
 
 
 def test_nqn_step_saddle_escape():
     obj = make_benchmark("saddle")
-    x1, rec = nqn_step(obj, *at(obj, [0.3, 0.7]))
+    x1, _, delta, _, _ = nqn_step(obj, *at(obj, [0.3, 0.7]))
     assert_allclose(x1, [0.0, 1.4], atol=0)
-    assert rec.delta_used == 0.0
+    assert delta == 0.0
 
 
 def test_nqn_backtracking_quadratic_full_step():
-    x1, rec = nqn_backtracking_step(quadratic_1d(),
-                                     *at(quadratic_1d(), [1.0]))
+    x1, _, _, _, backtracks = nqn_backtracking_step(
+        quadratic_1d(), *at(quadratic_1d(), [1.0]))
     assert x1[0] == 0.0
-    assert rec.ls_backtracks == 0
+    assert backtracks == 0
 
 
 def half_square_undefined_left_of(edge):
@@ -259,24 +259,24 @@ def half_square_undefined_left_of(edge):
 def test_nqn_backtracking_probe_that_raises_is_halved():
     # the full step lands on x = 0, outside the domain; half of it is fine
     obj = half_square_undefined_left_of(0.5)
-    x1, rec = nqn_backtracking_step(obj, *at(obj, [2.0]))
+    x1, f1, _, _, backtracks = nqn_backtracking_step(obj, *at(obj, [2.0]))
     assert x1[0] == 1.0
-    assert rec.ls_backtracks == 1
-    assert rec.f == 0.5
+    assert backtracks == 1
+    assert f1 == 0.5
 
 
 def test_backtracking_gd_probe_that_raises_is_shrunk():
     # lr = 1 lands on x = 0, outside the domain; lr = 0.7 passes Armijo
     obj = half_square_undefined_left_of(0.5)
-    x1, rec = backtracking_gd_step(obj, *at(obj, [2.0]))
+    x1, f1, _, _, backtracks = backtracking_gd_step(obj, *at(obj, [2.0]))
     assert_allclose(x1, [0.6], rtol=1e-15)
-    assert rec.ls_backtracks == 1
-    assert rec.f == obj.value(x1)
+    assert backtracks == 1
+    assert f1 == obj.value(x1)
 
 
 def test_newton_step_quadratic():
     obj = make_benchmark("ex12")  # x^2 + y^2 + 4xy, critical point at 0
-    x1, _ = newton_step(obj, *at(obj, [1.3, -0.4]))
+    x1, *_ = newton_step(obj, *at(obj, [1.3, -0.4]))
     assert_allclose(x1, [0.0, 0.0], atol=1e-12)
 
 
@@ -295,11 +295,11 @@ def test_random_damping_equals_newton_when_forced():
 
     obj = make_benchmark("rosenbrock", 2)
     x = np.array([0.3, -0.2])
-    x_newton, _ = newton_step(obj, *at(obj, x))
-    x_damped, rec = METHODS["random-damping-newton"](obj, *at(obj, x),
-                                                     rng=Unit())
+    x_newton, *_ = newton_step(obj, *at(obj, x))
+    x_damped, _, delta, _, _ = METHODS["random-damping-newton"](
+        obj, *at(obj, x), rng=Unit())
     assert np.array_equal(x_newton, x_damped)
-    assert rec.delta_used == 1.0
+    assert delta == 1.0
 
 
 def test_random_damping_contracts_to_saddle_along_ray():
@@ -316,11 +316,11 @@ def test_random_damping_contracts_to_saddle_along_ray():
 
 def test_backtracking_gd_quadratic_unit_step():
     state = {}
-    x1, rec = backtracking_gd_step(quadratic_1d(),
-                                   *at(quadratic_1d(), [1.0]), state=state)
+    x1, _, _, _, backtracks = backtracking_gd_step(
+        quadratic_1d(), *at(quadratic_1d(), [1.0]), state=state)
     assert x1[0] == 0.0
     assert state["lr"] == 1.0
-    assert rec.ls_backtracks == 0
+    assert backtracks == 0
 
 
 def test_backtracking_gd_grows_to_cap_on_shallow_slope():

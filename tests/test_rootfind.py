@@ -386,59 +386,104 @@ def test_builtin_triple_runs_once_per_point(name, method):
         lambda: find_root(m, ROOT_STARTS[name], method=method))
     assert res.trace.termination == "converged"
     points = {rec.x.tobytes() for rec in res.trace.records}
-    # f, grad f and Hess f at each point, and the final classification,
-    # share one evaluation of g, g' and g''
-    assert calls == len(points) == len(res.trace.records)
+    # f, grad f and Hess f at each point share one evaluation of g, g' and
+    # g''; the final classification makes one more
+    assert len(points) == len(res.trace.records)
+    assert calls == len(points) + 1
     label, calls = count_triple_calls(
         lambda: classify_critical_point(m, res.z))
     assert label == res.classification
-    assert calls == 0
+    assert calls == 1
 
 
-def test_hand_built_mero_is_called_as_given():
-    counts = {"g": 0, "g1": 0, "g2": 0}
-
+def counted_quadratic(counts):
+    """z^2 + 1 by hand, with each call of g, g' and g'' counted."""
     def counted(key, fn):
         def call(z):
             counts[key] += 1
             return fn(z)
         return call
 
-    m = MeroFunction(g=counted("g", lambda z: z * z + 1),
-                     g1=counted("g1", lambda z: 2 * z),
-                     g2=counted("g2", lambda z: 2 + 0j))
-    obj = mero_objective(m)
+    return MeroFunction(g=counted("g", lambda z: z * z + 1),
+                        g1=counted("g1", lambda z: 2 * z),
+                        g2=counted("g2", lambda z: 2 + 0j))
+
+
+def test_hand_built_mero_is_called_as_given():
+    counts = {"g": 0, "g1": 0, "g2": 0}
+    obj = mero_objective(counted_quadratic(counts))
     x = np.array([0.5, 0.25])
     obj.value(x)
     obj.gradient(x)
     obj.hessian(x)
-    assert counts == {"g": 3, "g1": 2, "g2": 1}
+    assert counts == {"g": 1, "g1": 1, "g2": 1}
+
+
+@pytest.mark.parametrize("method", ["nqn", "nqn-backtracking"])
+def test_hand_built_mero_runs_once_per_point(method):
+    counts = {"g": 0, "g1": 0, "g2": 0}
+    res = find_root(counted_quadratic(counts), 0.5 + 0.5j, method=method)
+    assert res.classification == "root-of-g"
+    records = res.trace.records
+    assert len({rec.x.tobytes() for rec in records}) == len(records)
+    # each iterate and each rejected line-search probe is one point; the
+    # accepted probe is the next iterate, and the classification adds one
+    probes = sum(rec.ls_backtracks for rec in records)
+    assert (probes > 0) == (method == "nqn-backtracking")
+    n = len(records) + probes + 1
+    assert counts == {"g": n, "g1": n, "g2": n}
 
 
 def bits(v):
-    """A complex-like value's type and exact bits."""
-    return type(v), np.complex128(v).tobytes()
+    """An objective output's exact bits."""
+    return np.asarray(v, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("name, a, b", [
-    ("g4", 0j, complex(0.0, -0.0)),        # g: 0-0j vs -0+0j
-    ("g4", 0.0, np.float64(0.0)),          # complex vs np.complex128
-    ("g5", 0j, 0.0),                       # complex vs real exp: g'' bits
+    ("g4", 0j, complex(0.0, -0.0)),        # x = (0, 0) vs (0, -0)
+    ("g4", 0j, complex(-0.0, -0.0)),       # x = (0, 0) vs (-0, -0)
 ])
 def test_cache_keeps_apart_inputs_the_triple_tells_apart(name, a, b):
-    def fresh(z):          # each value from its own, never-used builder
-        return [bits(getattr(builtin(name), attr)(z))
-                for attr in ("g", "g1", "g2")]
+    def outputs(obj, z):
+        x = np.array([z.real, z.imag])
+        return [bits(obj.value(x)), bits(obj.gradient(x)),
+                bits(obj.hessian(x))]
+
+    def fresh(z):          # from its own, never-used objective
+        return outputs(mero_objective(builtin(name)), z)
 
     assert fresh(a) != fresh(b)
-    m = builtin(name)
+    obj = mero_objective(builtin(name))
     for z in (a, b, a):
-        assert [bits(m.g(z)), bits(m.g1(z)), bits(m.g2(z))] == fresh(z)
+        assert outputs(obj, z) == fresh(z)
 
 
 def test_raising_triple_caches_nothing():
-    m = exp_rational_derivative((1.0, 1.0), (1.0, -1.0))   # q = 1 - e^-z
-    for _ in range(2):
+    def objective():       # q = 1 - e^-z vanishes at z = 0
+        return mero_objective(
+            exp_rational_derivative((1.0, 1.0), (1.0, -1.0)))
+
+    obj = objective()
+    fine, root_of_q = np.array([0.0, 1.0]), np.zeros(2)
+    obj.value(fine)
+    for fn in (obj.value, obj.gradient, obj.hessian):
         with pytest.raises(ZeroDivisionError):
-            m.g(0j)
-    assert m.g(1j) == exp_rational_derivative((1.0, 1.0), (1.0, -1.0)).g(1j)
+            fn(root_of_q)
+    assert bits(obj.gradient(fine)) == bits(objective().gradient(fine))
+
+
+def test_point_past_the_pole_guard_caches_nothing():
+    calls = [0]
+
+    def g(z):
+        calls[0] += 1
+        return 1 / z
+
+    obj = mero_objective(MeroFunction(g=g, g1=lambda z: -1 / z ** 2,
+                                      g2=lambda z: 2 / z ** 3,
+                                      pole_guard=1e6))
+    near_pole = np.array([1e-7, 0.0])
+    for fn in (obj.value, obj.gradient, obj.hessian):
+        with pytest.raises(DomainError):
+            fn(near_pole)
+    assert calls[0] == 3
