@@ -22,7 +22,8 @@ from .harness import (ExperimentSpec, SUITES, build_spec, emit_report,
                       results_root, run_experiment, run_to_row, suite_spec)
 from .objectives import catalog_listing, default_start, make_benchmark
 from .optimizers import METHODS, DeltaSchedule, StopCriteria
-from .rootfind import builtin, find_root, parse_poly_coeffs, poly_mero
+from .rootfind import (BUILTINS, builtin, find_root, parse_poly_coeffs,
+                       poly_mero)
 
 
 def _parse_floats(text, flag, parser):
@@ -34,6 +35,17 @@ def _parse_floats(text, flag, parser):
     if not vals:
         parser.error(f"{flag} expects at least one number")
     return vals
+
+
+def _seed(text):
+    """The argparse type of every seed: a nonnegative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"a seed is a nonnegative integer, got {text!r}")
 
 
 def _sched_from(args, parser):
@@ -68,12 +80,10 @@ def cmd_minimize(args, parser):
     if explicit is not None:
         x0 = np.asarray(explicit, dtype=float)
     elif args.x0:
-        seed_text = args.x0.split(":", 1)[1]
         try:
-            draw_seed = int(seed_text)
-        except ValueError:
-            parser.error(f"--x0 random:<seed> needs an integer seed, "
-                         f"got {seed_text!r}")
+            draw_seed = _seed(args.x0.split(":", 1)[1])
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"--x0 random:<seed>: {exc}")
         rng = np.random.default_rng(draw_seed)
         x0 = rng.uniform(-args.x0_box, args.x0_box, obj.dim)
     else:
@@ -194,7 +204,7 @@ def _add_run_flags(p):
                    help="stop when the gradient norm falls to this")
     p.add_argument("--xtol", type=float, default=1e-20,
                    help="stop when the step norm falls to this")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="seed for any randomized method choices")
 
 
@@ -258,7 +268,7 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
     p.add_argument("--gtol", type=float, default=1e-10,
                    help="stop when the gradient norm falls to this")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="base seed for randomized methods and drawn starts")
     p.add_argument("--out", default=None,
                    help="directory for traces and rows.csv "
@@ -278,7 +288,7 @@ def _build_parser():
                         "e.g. 1,0,1 for z^2+1 (complex entries like 1+2j "
                         "are accepted)")
     p.add_argument("--builtin", default=None,
-                   choices=("g1", "g2", "g3", "g4", "g5", "g6"),
+                   choices=list(BUILTINS),
                    help="built-in test function")
     p.add_argument("--x0", required=True,
                    help="start point as re,im (use --x0=-1,2 when the "

@@ -294,59 +294,39 @@ def emit_report(rows, format="csv"):
 _ALL_METHODS = tuple(METHODS)
 
 
-def _suite_rosenbrock2():
-    return build_spec("rosenbrock2", "rosenbrock", {"dim": 2},
-                      [ROSENBROCK2_X0], _ALL_METHODS,
-                      stop={"max_iter": 1000}, seed=1)
-
-
-def _suite_rosenbrock30():
-    return build_spec("rosenbrock30", "rosenbrock", {"dim": 30},
-                      [ROSENBROCK30_X0], _ALL_METHODS,
-                      stop={"max_iter": 200}, seed=1)
-
-
-def _suite_styblinski100():
-    return build_spec("styblinski100", "styblinski-tang", {"dim": 100},
-                      [STYBLINSKI100_X0],
-                      ("nqn", "newton", "backtracking-gd"),
-                      stop={"max_iter": 50}, seed=1)
-
-
-def _suite_griewank15():
-    return build_spec("griewank15", "griewank", {"dim": 15},
-                      [GRIEWANK15_X0], _ALL_METHODS,
-                      stop={"max_iter": 100}, seed=1)
-
-
-def _suite_protein_abbba():
-    return build_spec("protein-abbba", "protein",
-                      {"sequence": "ABBBA"}, list(ABBBA_STARTS), ("nqn",),
-                      stop={"max_iter": 5000}, seed=1)
-
-
-def _suite_stochastic_griewank():
-    return build_spec("stochastic-griewank", "stochastic-griewank",
-                      {"dim": STOCHASTIC_GRIEWANK_DIM, "batch_size": 500,
-                       "sigma": float(np.sqrt(0.1)),
-                       "seed": STOCHASTIC_GRIEWANK_SEED},
-                      [STOCHASTIC_GRIEWANK_X0], ("nqn",),
-                      stop={"max_iter": 50}, seed=STOCHASTIC_GRIEWANK_SEED)
-
-
+# Each suite is the keyword arguments of ``build_spec`` besides its name.
 SUITES = {
-    "rosenbrock2": _suite_rosenbrock2,
-    "rosenbrock30": _suite_rosenbrock30,
-    "styblinski100": _suite_styblinski100,
-    "griewank15": _suite_griewank15,
-    "protein-abbba": _suite_protein_abbba,
-    "stochastic-griewank": _suite_stochastic_griewank,
+    "rosenbrock2": dict(objective="rosenbrock", params={"dim": 2},
+                        initial_points=[ROSENBROCK2_X0], methods=_ALL_METHODS,
+                        stop={"max_iter": 1000}, seed=1),
+    "rosenbrock30": dict(objective="rosenbrock", params={"dim": 30},
+                         initial_points=[ROSENBROCK30_X0],
+                         methods=_ALL_METHODS, stop={"max_iter": 200},
+                         seed=1),
+    "styblinski100": dict(objective="styblinski-tang", params={"dim": 100},
+                          initial_points=[STYBLINSKI100_X0],
+                          methods=("nqn", "newton", "backtracking-gd"),
+                          stop={"max_iter": 50}, seed=1),
+    "griewank15": dict(objective="griewank", params={"dim": 15},
+                       initial_points=[GRIEWANK15_X0], methods=_ALL_METHODS,
+                       stop={"max_iter": 100}, seed=1),
+    "protein-abbba": dict(objective="protein", params={"sequence": "ABBBA"},
+                          initial_points=ABBBA_STARTS, methods=("nqn",),
+                          stop={"max_iter": 5000}, seed=1),
+    "stochastic-griewank": dict(
+        objective="stochastic-griewank",
+        params={"dim": STOCHASTIC_GRIEWANK_DIM, "batch_size": 500,
+                "sigma": float(np.sqrt(0.1)),
+                "seed": STOCHASTIC_GRIEWANK_SEED},
+        initial_points=[STOCHASTIC_GRIEWANK_X0], methods=("nqn",),
+        stop={"max_iter": 50}, seed=STOCHASTIC_GRIEWANK_SEED),
 }
 
 
 def suite_spec(name):
+    """The ExperimentSpec of the named suite, built from ``SUITES``."""
     key = str(name).strip().lower()
     if key not in SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; have {sorted(SUITES)}")
-    return SUITES[key]()
+    return build_spec(key, **SUITES[key])

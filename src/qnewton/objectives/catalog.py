@@ -664,31 +664,25 @@ def resolve_entry(name):
 def make_benchmark(name, dim=None, params=None):
     """Build a catalog Objective by identifier or alias.
 
-    ``dim`` defaults to the entry's registered dimension; entries registered
-    dimension-parametric accept any dim >= their minimum.
+    A ``dim`` below the entry's minimum is rejected.  Fixed entries are
+    built at their registered dimension and parametric ones at ``dim``
+    (default: the registered one); a ``dim`` the built objective does not
+    have is rejected, so a protein chain's dim follows from its sequence.
     """
     entry, extra = resolve_entry(name)
     merged = dict(extra)
     if params:
         merged.update(params)
-    if entry.ident == "protein":
-        seq = merged.get("sequence", "")
-        want = max(len(seq) - 2, 1)
-        if dim is not None and dim != want:
+    if dim is not None:
+        dim = int(dim)
+        if dim < entry.min_dim:
             raise InvalidInputError(
-                f"protein:{seq} has dim {want}, got {dim}")
-        return entry.factory(want, merged)
-    if dim is None:
-        dim = entry.default_dim
-    dim = int(dim)
-    if entry.fixed_dim:
-        if dim != entry.default_dim:
-            raise InvalidInputError(
-                f"{entry.ident} is fixed at dim {entry.default_dim}, got {dim}")
-    elif dim < entry.min_dim:
-        raise InvalidInputError(
-            f"{entry.ident} needs dim >= {entry.min_dim}, got {dim}")
-    return entry.factory(dim, merged)
+                f"{entry.ident} needs dim >= {entry.min_dim}, got {dim}")
+    obj = entry.factory(
+        entry.default_dim if dim is None or entry.fixed_dim else dim, merged)
+    if dim is not None and obj.dim != dim:
+        raise InvalidInputError(f"{name} has dim {obj.dim}, got {dim}")
+    return obj
 
 
 def catalog_entries():

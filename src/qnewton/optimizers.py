@@ -114,9 +114,15 @@ class DeltaSchedule:
         return float(min(b - a for a, b in zip(ds, ds[1:])))
 
     def h(self, t):
-        """The shift scale as a function of the gradient norm."""
-        v = float(t) ** (1.0 + self.alpha)
-        return min(1.0, v) if self.h_mode == "capped" else v
+        """The shift scale as a function of the gradient norm.
+
+        Under "capped", t >= 1 gives 1.0 without taking the power, which
+        overflows for t above about 1e154.
+        """
+        t = float(t)
+        if self.h_mode == "power":
+            return t ** (1.0 + self.alpha)
+        return 1.0 if t >= 1.0 else min(1.0, t ** (1.0 + self.alpha))
 
 
 @dataclass(frozen=True)

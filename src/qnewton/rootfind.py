@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -271,24 +272,25 @@ G3_Q = (0.0, 2.27, -2.19, 1.86, -0.38)
 G4_ROOTS = ((0.0, 1), (1.0, 2), (2.0, 3), (5.0, 5))
 
 
+BUILTINS = {
+    "g1": partial(poly_mero, G1_COEFFS, name="g1"),
+    "g2": partial(poly_mero, (1.0, 0.0, 1.0), name="g2"),
+    "g3": partial(exp_rational_derivative, G3_P, G3_Q, name="g3"),
+    # factored evaluation: expanded coefficients lose ~1e-13 of relative
+    # accuracy near the multiplicity-5 root at z=5
+    "g4": partial(poly_from_roots, G4_ROOTS, name="g4"),
+    "g5": partial(zeta_partial, 101, name="g5"),
+    "g6": partial(zeta_partial, 1001, name="g6"),
+}
+
+
 def builtin(name):
-    """The named test functions g1..g6."""
+    """The named test function: ``BUILTINS[name]()``, case-insensitive."""
     key = str(name).strip().lower()
-    if key == "g1":
-        return poly_mero(G1_COEFFS, name="g1")
-    if key == "g2":
-        return poly_mero((1.0, 0.0, 1.0), name="g2")
-    if key == "g3":
-        return exp_rational_derivative(G3_P, G3_Q, name="g3")
-    if key == "g4":
-        # factored evaluation: expanded coefficients lose ~1e-13 of relative
-        # accuracy near the multiplicity-5 root at z=5
-        return poly_from_roots(G4_ROOTS, name="g4")
-    if key == "g5":
-        return zeta_partial(101, name="g5")
-    if key == "g6":
-        return zeta_partial(1001, name="g6")
-    raise InvalidInputError(f"unknown builtin {name!r} (have g1..g6)")
+    if key not in BUILTINS:
+        raise InvalidInputError(
+            f"unknown builtin {name!r}; have {sorted(BUILTINS)}")
+    return BUILTINS[key]()
 
 
 def parse_poly_coeffs(text):

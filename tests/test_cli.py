@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qnewton.cli import main
+from qnewton.cli import _build_parser, main
+from qnewton.rootfind import BUILTINS
 
 
 def run_cli(argv):
@@ -95,6 +96,23 @@ def test_minimize_bad_invocations_exit_2(argv, capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--function", "rosenbrock", "--x0=-1.2,1", "--seed", "-1",
+     "--out", "{out}/t.csv"],
+    ["roots", "--poly", "1,0,1", "--x0", "0.5,0.5", "--seed", "-1",
+     "--out", "{out}/r.csv"],
+    ["minimize", "--function", "rosenbrock", "--x0", "random:-3",
+     "--out", "{out}/t.csv"],
+    ["compare", "--suite", "rosenbrock2", "--seed", "-1", "--out", "{out}"],
+])
+def test_negative_seed_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QNEWTON_RESULTS", str(tmp_path / "results"))
+    out = tmp_path / "out"
+    assert run_cli([a.format(out=out) for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_minimize_undefined_start_exits_2(tmp_path, capsys):
     # ex11 is undefined at 0: the run itself rejects the start
     code = run_cli(["minimize", "--function", "ex11", "--x0", "0",
@@ -179,6 +197,12 @@ def test_compare_bad_invocations_exit_2(argv, capsys):
 # ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
+
+def test_roots_builtin_choices_are_the_builtins():
+    roots = _build_parser()._subparsers._group_actions[0].choices["roots"]
+    builtin_flag, = [a for a in roots._actions if a.dest == "builtin"]
+    assert list(builtin_flag.choices) == list(BUILTINS)
+
 
 def test_roots_builtin_json(capsys):
     code = run_cli(["roots", "--builtin", "g2",

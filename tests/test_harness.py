@@ -420,6 +420,13 @@ def test_suite_names():
                            "stochastic-griewank"}
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_builds_and_round_trips(name):
+    spec = suite_spec(name)
+    assert spec.name == name
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
 def test_suite_spec_lookup():
     spec = suite_spec("Rosenbrock2")
     assert spec.objective == "rosenbrock"

@@ -299,8 +299,10 @@ def test_unknown_name_rejected():
 
 
 def test_fixed_dim_mismatch_rejected():
-    with pytest.raises(InvalidInputError):
-        make_benchmark("beale", 3)
+    # ex07 and ex08 are fixed at dims 2 and 4, but their factory builds any
+    for name, dim in [("beale", 3), ("ex07", 3), ("ex08", 2)]:
+        with pytest.raises(InvalidInputError):
+            make_benchmark(name, dim)
 
 
 def test_parametric_dim_below_minimum_rejected():

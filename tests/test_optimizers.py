@@ -93,6 +93,14 @@ def test_schedule_min_gap_and_h():
     assert power.h(2.0) == 4.0
 
 
+def test_capped_h_of_a_huge_gradient_norm_is_one():
+    # t ** 2 overflows a float above about 1.3e154
+    assert DeltaSchedule().h(1e155) == 1.0
+    assert DeltaSchedule().h(float("inf")) == 1.0
+    delta, _ = select_delta(np.eye(2), 1e200)
+    assert delta == 0.0
+
+
 def test_stop_criteria_validation():
     with pytest.raises(InvalidInputError):
         StopCriteria(max_iter=0)

@@ -11,6 +11,7 @@ from qnewton import rootfind
 from qnewton.optimizers import StopCriteria
 from qnewton.spectral import eigh
 from qnewton.rootfind import (
+    BUILTINS,
     MeroFunction,
     builtin,
     classify_critical_point,
@@ -301,6 +302,13 @@ def test_builtin_derivatives_are_consistent(name):
                                    rtol=1e-5, atol=1e-5 * abs(m.g(z)))
         np.testing.assert_allclose(m.g2(z), cd2,
                                    rtol=1e-5, atol=1e-5 * abs(m.g1(z)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_every_builtin_builds(name):
+    m = builtin(name)
+    assert isinstance(m, MeroFunction)
+    assert m.name == name
 
 
 def test_unknown_builtin():
