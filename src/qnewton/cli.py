@@ -4,8 +4,10 @@ Four subcommands: ``minimize`` runs one optimizer on one objective and
 writes its iteration trace, ``compare`` runs a method grid and prints a
 report table, ``roots`` searches for roots of a complex function by
 minimizing its squared modulus, and ``bench`` executes the named
-reproduction suites.  Exit code 2 means the invocation itself was invalid;
-a run that diverges or hits a numerical error still exits 0 with the
+reproduction suites.  Exit code 2 means the invocation itself was invalid:
+argparse rejects a malformed flag with the subcommand's usage, and any other
+invalid value raises InvalidInputError, which ``main`` reports as ``error:``.
+A run that diverges or hits a numerical error still exits 0 with the
 termination status in the output, because divergence is a result, not a
 failure of the tool.
 """
@@ -26,14 +28,15 @@ from .rootfind import (BUILTINS, builtin, find_root, parse_poly_coeffs,
                        poly_mero)
 
 
-def _parse_floats(text, flag, parser):
-    toks = [t for t in str(text).split(",") if t.strip() != ""]
+def _floats(text):
+    """The argparse type of a comma-separated list of numbers."""
     try:
-        vals = [float(t) for t in toks]
+        vals = [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        parser.error(f"{flag} expects comma-separated numbers, got {text!r}")
+        vals = []
     if not vals:
-        parser.error(f"{flag} expects at least one number")
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated numbers, got {text!r}")
     return vals
 
 
@@ -48,9 +51,41 @@ def _seed(text):
         f"a seed is a nonnegative integer, got {text!r}")
 
 
-def _sched_from(args, parser):
-    deltas = tuple(_parse_floats(args.delta_set, "--delta-set", parser))
-    return DeltaSchedule(deltas=deltas, alpha=args.alpha)
+def _start(text):
+    """``minimize --x0``: a point, or random:<seed> as a drawn-start dict."""
+    if text.startswith("random:"):
+        return {"count": 1, "seed": _seed(text[len("random:"):])}
+    return [_floats(text)]
+
+
+def _complex(text):
+    """``roots --x0``: two numbers re,im."""
+    vals = _floats(text)
+    if len(vals) != 2:
+        raise argparse.ArgumentTypeError(
+            f"expects two numbers re,im, got {text!r}")
+    return complex(*vals)
+
+
+def _names(table):
+    """The argparse type of a comma-separated list of keys, or 'all'."""
+    def names(text):
+        if text.strip().lower() == "all":
+            return list(table)
+        picked = [t.strip() for t in text.split(",") if t.strip()]
+        if not picked:
+            raise argparse.ArgumentTypeError("expects at least one name")
+        return picked
+    return names
+
+
+def _registered_start(function):
+    """The catalog start of ``function``, as a one-point list."""
+    start = default_start(function)
+    if start is None:
+        raise InvalidInputError(
+            f"{function} has no registered start point; pass --x0")
+    return [start]
 
 
 def _stop_from(args):
@@ -58,62 +93,40 @@ def _stop_from(args):
                         step_tol=args.xtol)
 
 
-def cmd_minimize(args, parser):
+def cmd_minimize(args):
     if args.list_functions:
         listing = catalog_listing()
         sys.stdout.write(listing if listing.endswith("\n") else listing + "\n")
         return 0
-    if not args.function:
-        parser.error("--function is required (or use --list-functions)")
 
     dim = args.dim
-    explicit = None
-    if args.x0 and not args.x0.startswith("random:"):
-        explicit = _parse_floats(args.x0, "--x0", parser)
-        if dim is not None and len(explicit) != dim:
-            parser.error(f"--x0 has {len(explicit)} coordinates "
-                         f"but --dim is {dim}")
-        dim = len(explicit) if dim is None else dim
+    start = args.x0 or _registered_start(args.function)
+    if isinstance(start, dict):
+        start = dict(start, box=[-args.x0_box, args.x0_box])
+    elif args.x0 and dim is None:
+        dim = len(start[0])       # an explicit point sets a parametric dim
+    spec = build_spec(
+        name=args.function, objective=args.function,
+        params={} if dim is None else {"dim": dim}, initial_points=start,
+        methods=[{"method": args.method, "deltas": args.delta_set,
+                  "alpha": args.alpha}],
+        stop=_stop_from(args), seed=args.seed)
 
-    obj = make_benchmark(args.function, dim=dim)
-
-    if explicit is not None:
-        x0 = np.asarray(explicit, dtype=float)
-    elif args.x0:
-        try:
-            draw_seed = _seed(args.x0.split(":", 1)[1])
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"--x0 random:<seed>: {exc}")
-        rng = np.random.default_rng(draw_seed)
-        x0 = rng.uniform(-args.x0_box, args.x0_box, obj.dim)
-    else:
-        start = default_start(args.function)
-        if start is None:
-            parser.error(f"{args.function} has no registered start point; "
-                         f"pass --x0")
-        x0 = np.asarray(start, dtype=float)
-        if x0.size != obj.dim:
-            parser.error(f"the registered start for {args.function} has "
-                         f"dim {x0.size}, not {obj.dim}; pass --x0")
-
-    sched = _sched_from(args, parser)
-    stop = _stop_from(args)
     slug = args.function.replace(":", "-")
     out = (Path(args.out) if args.out
            else results_root() / "minimize" / f"{slug}-{args.method}.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    row = run_to_row(args.method, args.function, obj, x0, sched, stop,
-                     args.seed, out)
+    cfg, = spec.methods
+    row = run_to_row(cfg.method, args.function,
+                     make_benchmark(args.function, dim=dim),
+                     np.asarray(spec.initial_points[0]), cfg.sched,
+                     spec.stop, args.seed, out)
     sys.stdout.write(emit_report([row], "csv"))
     sys.stderr.write(f"trace written to {out}\n")
     return 0
 
 
-def cmd_compare(args, parser):
-    picked = [s for s in (args.suite, args.spec, args.function) if s]
-    if len(picked) != 1:
-        parser.error("pass exactly one of --suite, --spec, or --function")
-
+def cmd_compare(args):
     if args.suite:
         spec = suite_spec(args.suite)
         if args.seed is not None:
@@ -121,25 +134,12 @@ def cmd_compare(args, parser):
     elif args.spec:
         spec = ExperimentSpec.from_json(Path(args.spec).read_text())
     else:
-        if args.methods.strip().lower() == "all":
-            methods = list(METHODS)
-        else:
-            methods = [m.strip() for m in args.methods.split(",")
-                       if m.strip()]
-        if not methods:
-            parser.error("--methods must name at least one method")
-        points = [_parse_floats(t, "--x0", parser) for t in (args.x0 or [])]
-        if not points:
-            start = default_start(args.function)
-            if start is None:
-                parser.error(f"{args.function} has no registered start "
-                             f"point; pass --x0")
-            points = [list(start)]
         params = {} if args.dim is None else {"dim": args.dim}
         spec = build_spec(
             name="compare-" + args.function.replace(":", "-"),
             objective=args.function, params=params,
-            initial_points=points, methods=methods,
+            initial_points=args.x0 or _registered_start(args.function),
+            methods=args.methods,
             stop={"max_iter": args.max_iter, "grad_tol": args.gtol},
             seed=args.seed)
     if args.out:
@@ -150,19 +150,12 @@ def cmd_compare(args, parser):
     return 0
 
 
-def cmd_roots(args, parser):
-    if bool(args.poly) == bool(args.builtin):
-        parser.error("pass exactly one of --poly or --builtin")
+def cmd_roots(args):
     m = poly_mero(parse_poly_coeffs(args.poly)) if args.poly \
         else builtin(args.builtin)
-
-    vals = _parse_floats(args.x0, "--x0", parser)
-    if len(vals) != 2:
-        parser.error(f"--x0 expects two numbers re,im, got {args.x0!r}")
-
-    result = find_root(m, complex(vals[0], vals[1]), method=args.method,
-                       sched=_sched_from(args, parser), stop=_stop_from(args),
-                       seed=args.seed)
+    result = find_root(m, args.x0, method=args.method,
+                       sched=DeltaSchedule(args.delta_set, args.alpha),
+                       stop=_stop_from(args), seed=args.seed)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -172,16 +165,9 @@ def cmd_roots(args, parser):
     return 0
 
 
-def cmd_bench(args, parser):
-    if args.suites.strip().lower() == "all":
-        names = list(SUITES)
-    else:
-        names = [s.strip() for s in args.suites.split(",") if s.strip()]
-    if not names:
-        parser.error("--suites must name at least one suite")
-
-    for name in names:
-        spec = suite_spec(name)
+def cmd_bench(args):
+    specs = [suite_spec(name) for name in args.suites]
+    for spec in specs:
         if args.out:
             spec = replace(spec, out_dir=str(Path(args.out) / spec.name))
         rows = run_experiment(spec)
@@ -194,7 +180,7 @@ def cmd_bench(args, parser):
 def _add_run_flags(p):
     p.add_argument("--method", default="nqn", choices=list(METHODS),
                    help="optimizer to run")
-    p.add_argument("--delta-set", default="0,1,-1",
+    p.add_argument("--delta-set", type=_floats, default="0,1,-1",
                    help="comma-separated shift coefficients, tried in order")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="exponent in the shift size h(t) = min{1, t^(1+alpha)}")
@@ -226,10 +212,13 @@ def _build_parser():
         description="Run one optimizer on one objective, write the "
                     "iteration trace as CSV (plus a .json summary sidecar), "
                     "and print the result row.")
-    p.add_argument("--function", default=None,
-                   help="objective identifier or alias, e.g. rosenbrock, "
-                        "griewank, protein:ABBBA")
-    p.add_argument("--x0", default=None,
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--function", default=None,
+                      help="objective identifier or alias, e.g. rosenbrock, "
+                           "griewank, protein:ABBBA")
+    what.add_argument("--list-functions", action="store_true",
+                      help="print the objective catalog and exit")
+    p.add_argument("--x0", type=_start, default=None,
                    help="comma-separated start point (use --x0=-1,2 when "
                         "the first coordinate is negative), or random:<seed> "
                         "for a uniform draw; defaults to the registered "
@@ -242,8 +231,6 @@ def _build_parser():
     p.add_argument("--out", default=None,
                    help="trace CSV path (default: "
                         "<results>/minimize/<function>-<method>.csv)")
-    p.add_argument("--list-functions", action="store_true",
-                   help="print the objective catalog and exit")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser(
@@ -252,15 +239,16 @@ def _build_parser():
         description="Run a method-by-start grid from a named suite, a JSON "
                     "spec file, or inline flags, and print the result "
                     "table.")
-    p.add_argument("--suite", default=None, choices=sorted(SUITES),
-                   help="named reproduction suite")
-    p.add_argument("--spec", default=None,
-                   help="path to an experiment JSON document")
-    p.add_argument("--function", default=None,
-                   help="objective identifier for an inline comparison")
-    p.add_argument("--methods", default="all",
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--suite", default=None, choices=sorted(SUITES),
+                      help="named reproduction suite")
+    what.add_argument("--spec", default=None,
+                      help="path to an experiment JSON document")
+    what.add_argument("--function", default=None,
+                      help="objective identifier for an inline comparison")
+    p.add_argument("--methods", type=_names(METHODS), default="all",
                    help="comma-separated method ids, or 'all'")
-    p.add_argument("--x0", action="append", default=None,
+    p.add_argument("--x0", type=_floats, action="append", default=None,
                    help="start point as comma-separated numbers; repeat the "
                         "flag for several starts")
     p.add_argument("--dim", type=int, default=None,
@@ -283,14 +271,15 @@ def _build_parser():
         description="Minimize the squared modulus of a polynomial or a "
                     "built-in complex function and print the end point, "
                     "its classification, and the iteration count as JSON.")
-    p.add_argument("--poly", default=None,
-                   help="polynomial coefficients, highest degree first, "
-                        "e.g. 1,0,1 for z^2+1 (complex entries like 1+2j "
-                        "are accepted)")
-    p.add_argument("--builtin", default=None,
-                   choices=list(BUILTINS),
-                   help="built-in test function")
-    p.add_argument("--x0", required=True,
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--poly", default=None,
+                      help="polynomial coefficients, highest degree first, "
+                           "e.g. 1,0,1 for z^2+1 (complex entries like 1+2j "
+                           "are accepted)")
+    what.add_argument("--builtin", default=None,
+                      choices=list(BUILTINS),
+                      help="built-in test function")
+    p.add_argument("--x0", type=_complex, required=True,
                    help="start point as re,im (use --x0=-1,2 when the "
                         "first coordinate is negative)")
     _add_run_flags(p)
@@ -303,7 +292,7 @@ def _build_parser():
         help="run the named reproduction suites",
         description="Run reproduction suites and print one markdown table "
                     "per suite.  Available: " + ", ".join(sorted(SUITES)) + ".")
-    p.add_argument("--suites", default="all",
+    p.add_argument("--suites", type=_names(SUITES), default="all",
                    help="comma-separated suite names, or 'all'")
     p.add_argument("--out", default=None,
                    help="base directory for suite outputs "
@@ -317,7 +306,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except InvalidInputError as exc:
         parser.exit(2, f"error: {exc}\n")
 

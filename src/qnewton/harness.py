@@ -78,16 +78,10 @@ class ExperimentSpec:
         if not isinstance(doc, dict) or "objective" not in doc:
             raise InvalidInputError(
                 'a spec is a JSON object with an "objective"')
-        return build_spec(
-            name=doc.get("name", doc["objective"]),
-            objective=doc["objective"],
-            params=doc.get("params", {}),
-            initial_points=doc.get("initial_points"),
-            methods=doc.get("methods", ["nqn"]),
-            stop=doc.get("stop", {}),
-            seed=doc.get("seed"),
-            out_dir=doc.get("out_dir"),
-        )
+        unknown = set(doc) - {f.name for f in fields(ExperimentSpec)}
+        if unknown:
+            raise InvalidInputError(f"unknown spec keys {sorted(unknown)}")
+        return build_spec(**{"name": doc["objective"], **doc})
 
     def to_json(self):
         """The spec as JSON that ``from_json`` reads back to an equal spec."""
@@ -114,11 +108,11 @@ def _resolve_objective(objective, params, seed):
     params = dict(params)
     if objective == "stochastic-griewank":
         return make_stochastic_griewank(
-            dim=int(params.get("dim", STOCHASTIC_GRIEWANK_DIM)),
-            batch_size=int(params.get("batch_size", 500)),
+            dim=params.get("dim", STOCHASTIC_GRIEWANK_DIM),
+            batch_size=params.get("batch_size", 500),
             sigma=float(params.get("sigma", np.sqrt(0.1))),
-            seed=int(params.get("seed", seed if seed is not None
-                                else STOCHASTIC_GRIEWANK_SEED)))
+            seed=params.get("seed", seed if seed is not None
+                            else STOCHASTIC_GRIEWANK_SEED))
     dim = params.pop("dim", None)
     return make_benchmark(objective, dim=dim, params=params)
 
@@ -254,8 +248,7 @@ def run_experiment(spec):
     return rows
 
 
-_COLUMNS = ("method", "objective", "x0", "iterations", "final_f",
-            "final_grad_norm", "wall_seconds", "termination")
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _fmt(v):

@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, InvalidInputError
 
 FD_GRAD_STEP = 1e-5
 FD_HESS_STEP = 1e-4
+
+
+def as_integer(value, what):
+    """``value`` as an int; InvalidInputError unless it has an integer type."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _eval_finite(f, x):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DomainError, InvalidInputError
-from .base import Objective
+from .base import Objective, as_integer
 from .protein import protein_objective
 
 _E = math.e
@@ -674,7 +674,7 @@ def make_benchmark(name, dim=None, params=None):
     if params:
         merged.update(params)
     if dim is not None:
-        dim = int(dim)
+        dim = as_integer(dim, "dim")
         if dim < entry.min_dim:
             raise InvalidInputError(
                 f"{entry.ident} needs dim >= {entry.min_dim}, got {dim}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from .base import Objective
+from .base import Objective, as_integer
 from .catalog import _exclusion_products
 
 
@@ -65,6 +65,9 @@ def make_stochastic_griewank(dim, batch_size, sigma, seed):
     Griewank evaluated at xi*x, so gradients/Hessians vectorize over the
     batch dimension.
     """
+    dim = as_integer(dim, "dim")
+    batch_size = as_integer(batch_size, "batch_size")
+    seed = as_integer(seed, "seed")
     if dim < 1 or batch_size < 1:
         raise InvalidInputError("dim and batch_size must be positive")
     idx = np.arange(1, dim + 1, dtype=float)

@@ -64,6 +64,20 @@ def test_minimize_random_start_is_seeded(tmp_path, capsys):
     assert fields() == fields()
 
 
+@pytest.mark.parametrize("box_flag, box", [([], 2), (["--x0-box", "1.5"], 1.5)])
+def test_minimize_random_start_is_the_spec_draw(box_flag, box, tmp_path,
+                                                capsys):
+    from qnewton.harness import build_spec, x0_digest
+
+    code = run_cli(["minimize", "--function", "ex13", "--x0", "random:7",
+                    "--out", str(tmp_path / "t.csv"), *box_flag])
+    row, = read_rows(capsys.readouterr().out)
+    assert code == 0
+    drawn = build_spec("x", "ex13", {}, {"count": 1, "box": [-box, box],
+                                         "seed": 7}, ["nqn"])
+    assert row["x0"] == x0_digest(drawn.initial_points[0])
+
+
 def test_minimize_default_out_path(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QNEWTON_RESULTS", str(tmp_path))
     code = run_cli(["minimize", "--function", "protein:BAB", "--x0", "0.5"])
@@ -163,6 +177,12 @@ def test_compare_spec_file(tmp_path, capsys):
     {"seed": "x"},
     {"seed": -1},
     {"seed": 1.5},
+    {"sed": 7},                                           # unknown spec key
+    {"params": {"dim": 2.9}},
+    {"objective": "stochastic-griewank", "params": {"dim": 3.5},
+     "initial_points": [[0.5] * 3]},
+    {"objective": "stochastic-griewank",
+     "params": {"dim": 2, "batch_size": 10.5}},
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},
@@ -173,6 +193,14 @@ def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     assert run_cli(["compare", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "runs").exists()
+
+
+def test_unknown_spec_key_is_named(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"objective": "ex13", "sed": 7,
+                                "initial_points": [[0.5, 0.5]]}))
+    assert run_cli(["compare", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown spec keys ['sed']\n"
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '{"params": {}}', "{bad json"])
@@ -245,8 +273,22 @@ def test_roots_bad_invocations_exit_2(argv, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench and help
+# usage errors, bench and help
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--function", "rosenbrock", "--x0", "random:-3"],
+    ["compare"],
+    ["compare", "--suite", "rosenbrock2", "--function", "ex13"],
+    ["roots", "--x0", "0,1"],
+    ["roots", "--poly", "1,0,1", "--x0", "1"],
+    ["minimize", "--function", "rosenbrock", "--list-functions"],
+])
+def test_usage_error_prints_the_subcommand_usage(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qnewton {argv[0]} ")
+
 
 def test_bench_one_suite(tmp_path, capsys):
     code = run_cli(["bench", "--suites", "rosenbrock2",

@@ -17,6 +17,7 @@ from qnewton.harness import (
     _COLUMNS,
     ResultRow,
     _fmt,
+    _resolve_objective,
     build_spec,
     emit_report,
     results_root,
@@ -224,6 +225,20 @@ def test_initial_point_dim_mismatch():
     with pytest.raises(InvalidInputError):
         build_spec(name="x", objective="rosenbrock", params={"dim": 2},
                    initial_points=[[1.0, 2.0, 3.0]])
+
+
+def test_non_integral_dim_rejected():
+    with pytest.raises(InvalidInputError, match="dim must be an integer"):
+        build_spec("x", "rosenbrock", {"dim": 2.9}, [[0.5, 0.5]], ["nqn"])
+
+
+@pytest.mark.parametrize("params", [{"dim": 3.5}, {"batch_size": 10.5},
+                                    {"dim": 3.5, "batch_size": 10.5}])
+def test_non_integral_stochastic_sizes_rejected(params):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        _resolve_objective("stochastic-griewank", params, seed=None)
+    assert _resolve_objective("stochastic-griewank",
+                              {"dim": 3, "batch_size": 10}, None).dim == 3
 
 
 def test_unknown_method_key():

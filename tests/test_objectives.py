@@ -305,6 +305,12 @@ def test_fixed_dim_mismatch_rejected():
             make_benchmark(name, dim)
 
 
+def test_non_integral_dim_rejected():
+    with pytest.raises(InvalidInputError, match="dim must be an integer"):
+        make_benchmark("rosenbrock", dim=3.7)
+    assert make_benchmark("rosenbrock", dim=np.int64(3)).dim == 3
+
+
 def test_parametric_dim_below_minimum_rejected():
     with pytest.raises(InvalidInputError):
         make_benchmark("rosenbrock", 1)
