@@ -134,10 +134,12 @@ def cmd_compare(args):
     elif args.spec:
         spec = ExperimentSpec.from_json(Path(args.spec).read_text())
     else:
-        params = {} if args.dim is None else {"dim": args.dim}
+        # as in minimize, an explicit point sets a parametric dim
+        dim = len(args.x0[0]) if args.x0 and args.dim is None else args.dim
         spec = build_spec(
             name="compare-" + args.function.replace(":", "-"),
-            objective=args.function, params=params,
+            objective=args.function,
+            params={} if dim is None else {"dim": dim},
             initial_points=args.x0 or _registered_start(args.function),
             methods=args.methods,
             stop={"max_iter": args.max_iter, "grad_tol": args.gtol},

@@ -45,7 +45,7 @@ class MethodConfig:
     stop: StopCriteria | None = None    # per-method override, else spec stop
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise InvalidInputError(
                 f"unknown method {self.method!r}; have {sorted(METHODS)}")
 
@@ -163,11 +163,15 @@ def build_spec(name, objective, params=None, initial_points=None,
             f"initial points have shape {pts.shape[1:]}, objective has "
             f"dim {dim}")
 
+    if not isinstance(methods, (list, tuple)):
+        raise InvalidInputError(f"methods must be a list, got {methods!r}")
     configs = []
     for entry in methods:
         if isinstance(entry, str):
             configs.append(MethodConfig(entry))
             continue
+        if not isinstance(entry, dict) or "method" not in entry:
+            raise InvalidInputError(f"malformed method entry {entry!r}")
         entry = dict(entry)
         mid = entry.pop("method")
         sched_kwargs = {k: entry.pop(k) for k in _SCHED_KEYS if k in entry}

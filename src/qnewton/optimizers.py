@@ -439,7 +439,11 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
     step = METHODS[method]
     sched = sched or DeltaSchedule()
     stop = stop or StopCriteria()
-    rng = np.random.default_rng(seed)
+    shifted = method in _USES_DELTAS
+    random_shifts = shifted and sched.selection == "random-per-iteration"
+    # only a run that draws builds a Generator: it costs more than a 2-d step
+    rng = (np.random.default_rng(seed)
+           if random_shifts or method == "random-damping-newton" else None)
     state = {}
 
     stochastic = isinstance(obj, StochasticObjective)
@@ -447,8 +451,7 @@ def run(method, obj, x0, sched=None, stop=None, seed=None):
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.size != dim:
         raise InvalidInputError(f"x0 has size {x.size}, objective dim {dim}")
-    if method in _USES_DELTAS and sched.selection == "sequential" \
-            and len(sched.deltas) < dim + 1:
+    if shifted and not random_shifts and len(sched.deltas) < dim + 1:
         warnings.warn(
             f"{len(sched.deltas)} shifts for dimension {dim}: the "
             f"always-invertible guarantee needs dim+1 distinct shifts",

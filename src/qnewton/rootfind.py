@@ -91,6 +91,11 @@ def mero_objective(m):
     the value, gradient and Hessian at one point call ``m.eval_all`` and
     check for a pole once.  A point at which either raises keeps nothing.
     """
+    return _mero_parts(m)[0]
+
+
+def _mero_parts(m):
+    """(mero_objective(m), at): at(x) is the cached (g, g', g'') at x."""
     key = vals = None
 
     def at(x):
@@ -120,7 +125,7 @@ def mero_objective(m):
                          [-2.0 * t.imag, 2.0 * (s - t.real)]])
 
     return Objective(2, value, grad, hess,
-                     name=m.name or "mero-squared-modulus")
+                     name=m.name or "mero-squared-modulus"), at
 
 
 def classify_critical_point(m, z, tol=ROOT_TOL):
@@ -130,8 +135,12 @@ def classify_critical_point(m, z, tol=ROOT_TOL):
     saddle of f (the Hessian there has determinant -|g*g''|^2 < 0); anything
     else is reported degenerate rather than guessed.
     """
-    z = complex(z)
-    gv, g1, g2 = m.eval_all(z)
+    return _classify(m.eval_all(complex(z)), tol)
+
+
+def _classify(triple, tol):
+    """classify_critical_point's label from (g, g', g'') at the point."""
+    gv, g1, g2 = triple
     if abs(gv) <= tol:
         return "root-of-g"
     if abs(g1) <= tol and abs(gv * g2) > tol:
@@ -143,14 +152,14 @@ def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None,
               root_tol=ROOT_TOL):
     """Minimize |g|^2 from z0 with the chosen method and classify the end."""
     z0 = complex(z0)
-    obj = mero_objective(m)
+    obj, at = _mero_parts(m)
     trace = run(method, obj, np.array([z0.real, z0.imag]),
                 sched=sched, stop=stop, seed=seed)
     zf = complex(trace.final_x[0], trace.final_x[1])
     if trace.termination == "diverged":
         classification = "diverged"
-    else:
-        classification = classify_critical_point(m, zf, root_tol)
+    else:       # the cache holds the end point unless a probe came last
+        classification = _classify(at(trace.final_x), root_tol)
     return RootResult(z=zf, f_value=trace.final_f,
                       classification=classification, trace=trace)
 

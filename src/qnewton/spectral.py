@@ -6,12 +6,14 @@ symmetric Schur decomposition (Golub & Van Loan, *Matrix Computations*,
 overflow or in the subnormal range is scaled by a power of two first, so
 it keeps its accuracy.  Its eigenvalues are within 8*eps*max|A| of
 LAPACK's (plus the spacing of the subnormal grid), and its eigenvectors
-are orthonormal to 8*eps.  Every other size goes through LAPACK's
-divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh`` calls it.  Both
-paths share one output convention: eigenvalues ascending, and each
-eigenvector's sign chosen so that its largest-magnitude component is
-nonnegative (the first one on a tie).  For identical input and a fixed
-BLAS thread count the output is deterministic bit for bit, so runs replay
+are orthonormal to 8*eps, each with its largest-magnitude component
+nonnegative (the first one on a tie).  Every other size goes through
+LAPACK's divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh`` calls
+it and keeps LAPACK's signs.  No result reads a sign: the one reader of
+eigenvectors, ``reflect_inverse_apply``, uses each e_i twice and negation
+is exact, so flipping a column leaves its output unchanged bit for bit.
+Eigenvalues are ascending, and for identical input and a fixed BLAS
+thread count the output is deterministic bit for bit, so runs replay
 exactly.
 
 ``reflect_inverse_apply`` implements the core update arithmetic: given the
@@ -123,11 +125,11 @@ def eigh(A):
     Returns
     -------
     SpectralDecomposition
-        Ascending eigenvalues and orthonormal eigenvectors, each with its
-        largest-magnitude component >= 0 (the first such component on
-        ties).  Read-only, and deterministic for identical input with the
-        BLAS thread count fixed.  An eigenvalue beyond the float range is
-        +-inf, as LAPACK returns it.
+        Ascending eigenvalues and orthonormal eigenvectors, read-only and
+        deterministic for identical input with the BLAS thread count fixed.
+        At n = 2 each eigenvector's largest-magnitude component is >= 0 (the
+        first on ties); other sizes keep LAPACK's signs, which no result
+        reads (see above).  An eigenvalue beyond the float range is +-inf.
 
     Raises
     ------
@@ -160,11 +162,6 @@ def eigh(A):
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"eigendecomposition failed: {exc}") from exc
-        # Sign convention: largest-magnitude component of each eigenvector
-        # >= 0.
-        if V.size:
-            peaks = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-            V = V * np.where(peaks < 0.0, -1.0, 1.0)
     lam.setflags(write=False)
     V.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)

@@ -152,6 +152,19 @@ def test_compare_inline_markdown(tmp_path, capsys):
     assert (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim 5
+def test_compare_takes_the_dim_from_x0(tmp_path, capsys):
+    code = run_cli(["compare", "--function", "griewank",
+                    "--x0", "10,10,10,10,10", "--methods", "nqn",
+                    "--format", "csv", "--out", str(tmp_path)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    row, = read_rows(out)
+    assert row["termination"] == "converged"
+    doc = json.loads((tmp_path / "experiment.json").read_text())
+    assert doc["params"] == {"dim": 5}
+
+
 def test_compare_spec_file(tmp_path, capsys):
     from qnewton.harness import build_spec
 
@@ -183,6 +196,9 @@ def test_compare_spec_file(tmp_path, capsys):
      "initial_points": [[0.5] * 3]},
     {"objective": "stochastic-griewank",
      "params": {"dim": 2, "batch_size": 10.5}},
+    {"methods": None},
+    {"methods": [5]},
+    {"methods": [{"alpha": 1}]},                          # no "method"
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},

@@ -22,7 +22,8 @@ from qnewton.optimizers import (METHODS, X_DIVERGENCE_CAP, DeltaSchedule,
                                 backtracking_gd_step, newton_step,
                                 nqn_backtracking_step, nqn_step, run,
                                 select_delta)
-from qnewton.fixtures import ROSENBROCK2_X0
+from qnewton.fixtures import ROOT_STARTS, ROSENBROCK2_X0
+from qnewton.rootfind import builtin, find_root
 from qnewton.spectral import eigh
 
 
@@ -491,6 +492,42 @@ def test_random_schedule_selection_converges():
     assert trace.termination == "converged"
     assert all(r.delta_used is None or r.delta_used != 0.0
                for r in trace.records[1:])
+
+
+@pytest.fixture
+def built_generators(monkeypatch):
+    """The arguments of every np.random.default_rng call during the test."""
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return built
+
+
+@pytest.mark.parametrize("method, sched, generators", [
+    ("nqn", None, 0),
+    ("nqn-backtracking", None, 0),
+    ("newton", None, 0),
+    ("backtracking-gd", None, 0),
+    ("random-damping-newton", None, 1),
+    ("nqn", DeltaSchedule(selection="random-per-iteration"), 1),
+    ("nqn-backtracking", DeltaSchedule(selection="random-per-iteration"), 1),
+])
+def test_only_a_drawing_run_builds_a_generator(method, sched, generators,
+                                               built_generators):
+    run(method, make_benchmark("rosenbrock", 2), np.asarray(ROSENBROCK2_X0),
+        sched=sched, stop=StopCriteria(max_iter=20), seed=7)
+    assert built_generators == [(7,)] * generators
+
+
+def test_find_root_builds_no_generator(built_generators):
+    res = find_root(builtin("g2"), ROOT_STARTS["g2"], seed=7)
+    assert res.classification == "root-of-g"
+    assert built_generators == []
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

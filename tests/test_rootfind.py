@@ -395,9 +395,9 @@ def test_builtin_triple_runs_once_per_point(name, method):
     assert res.trace.termination == "converged"
     points = {rec.x.tobytes() for rec in res.trace.records}
     # f, grad f and Hess f at each point share one evaluation of g, g' and
-    # g''; the final classification makes one more
+    # g''; the final classification reads the last point's from the cache
     assert len(points) == len(res.trace.records)
-    assert calls == len(points) + 1
+    assert calls == len(points)
     label, calls = count_triple_calls(
         lambda: classify_critical_point(m, res.z))
     assert label == res.classification
@@ -435,10 +435,28 @@ def test_hand_built_mero_runs_once_per_point(method):
     records = res.trace.records
     assert len({rec.x.tobytes() for rec in records}) == len(records)
     # each iterate and each rejected line-search probe is one point; the
-    # accepted probe is the next iterate, and the classification adds one
+    # accepted probe is the next iterate, and the classification reads the
+    # last iterate's triple from the cache
     probes = sum(rec.ls_backtracks for rec in records)
     assert (probes > 0) == (method == "nqn-backtracking")
-    n = len(records) + probes + 1
+    n = len(records) + probes
+    assert counts == {"g": n, "g1": n, "g2": n}
+
+
+def test_end_point_off_the_cache_is_evaluated_again(monkeypatch):
+    real_run = rootfind.run
+
+    def run_then_move(method, obj, x0, **kwargs):
+        trace = real_run(method, obj, x0, **kwargs)
+        obj.value(trace.final_x + 1.0)      # the cache now holds another point
+        return trace
+
+    monkeypatch.setattr(rootfind, "run", run_then_move)
+    counts = {"g": 0, "g1": 0, "g2": 0}
+    res = find_root(counted_quadratic(counts), 0.5 + 0.5j)
+    assert res.classification == "root-of-g"
+    # every iterate, the moved-to point, and the end point once more
+    n = len(res.trace.records) + 2
     assert counts == {"g": n, "g1": n, "g2": n}
 
 

@@ -5,9 +5,14 @@ import numpy.linalg as la
 import pytest
 from numpy.testing import assert_allclose
 
+from qnewton import optimizers
 from qnewton.errors import (InvalidInputError, NoConvergenceError,
                             SingularMatrixError)
-from qnewton.spectral import eigh, reflect_inverse_apply
+from qnewton.fixtures import GRIEWANK15_X0, ROSENBROCK30_X0
+from qnewton.objectives import make_benchmark
+from qnewton.optimizers import StopCriteria, run
+from qnewton.spectral import (SpectralDecomposition, eigh,
+                              reflect_inverse_apply)
 
 EPS = np.finfo(float).eps
 TINY = 5e-324          # smallest subnormal: the spacing of the subnormal grid
@@ -124,13 +129,73 @@ def test_random_matrices_orthonormal_and_reconstruct():
 
 
 def test_sign_convention_on_random_matrices():
+    # the convention holds at n = 2 only; other sizes keep LAPACK's signs
     rng = np.random.default_rng(6)
     for _ in range(200):
-        n = int(rng.integers(1, 21))
-        B = rng.uniform(-10.0, 10.0, (n, n))
+        B = rng.uniform(-10.0, 10.0, (2, 2))
         V = eigh(0.5 * (B + B.T)).eigenvectors
-        for j in range(n):
+        for j in range(2):
             assert V[int(np.argmax(np.abs(V[:, j]))), j] >= 0.0
+
+
+def with_flipped_columns(dec, flip):
+    """``dec`` with the eigenvectors where ``flip`` is True negated."""
+    V = dec.eigenvectors * np.where(flip, -1.0, 1.0)
+    V.setflags(write=False)
+    return SpectralDecomposition(dec.eigenvalues, V)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("n", range(1, 21))
+def test_reflect_ignores_eigenvector_signs(n, signed):
+    rng = np.random.default_rng(100 + n)
+    B = rng.uniform(-10.0, 10.0, (n, n))
+    dec = eigh(0.5 * (B + B.T))
+    g = rng.uniform(-10.0, 10.0, n)
+    expected = reflect_inverse_apply(dec, g, signed=signed).tobytes()
+    flips = [np.ones(n, dtype=bool), np.eye(n, dtype=bool)[n - 1]]
+    flips += [rng.random(n) < 0.5 for _ in range(20)]
+    for flip in flips:
+        w = reflect_inverse_apply(with_flipped_columns(dec, flip), g,
+                                  signed=signed)
+        assert w.tobytes() == expected
+
+
+def record_bits(records):
+    """Every field of every record but wall_ns, floats by their bits."""
+    return [(r.index, r.x.tobytes(), np.float64(r.f).tobytes(),
+             np.float64(r.grad_norm).tobytes(),
+             None if r.delta_used is None
+             else np.float64(r.delta_used).tobytes(),
+             np.float64(r.step_norm).tobytes(), r.ls_backtracks)
+            for r in records]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim 15/30
+@pytest.mark.parametrize("method", ["nqn", "nqn-backtracking", "newton",
+                                    "random-damping-newton"])
+@pytest.mark.parametrize("problem", [("rosenbrock", ROSENBROCK30_X0),
+                                     ("griewank", GRIEWANK15_X0)])
+def test_eigenvector_signs_do_not_reach_the_records(problem, method,
+                                                    monkeypatch):
+    name, x0 = problem
+    obj = make_benchmark(name, len(x0))
+    stop = StopCriteria(max_iter=40)
+    expected = run(method, obj, x0, stop=stop, seed=3)
+    flip_rng = np.random.default_rng(5)
+    flipped = [0]
+
+    def flipping_eigh(A):
+        dec = eigh(A)
+        flip = flip_rng.random(dec.dim) < 0.5
+        flipped[0] += int(flip.sum())
+        return with_flipped_columns(dec, flip)
+
+    monkeypatch.setattr(optimizers, "eigh", flipping_eigh)
+    trace = run(method, obj, x0, stop=stop, seed=3)
+    assert flipped[0] > 0
+    assert trace.termination == expected.termination
+    assert record_bits(trace.records) == record_bits(expected.records)
 
 
 def test_lapack_failure_is_no_convergence(monkeypatch):
