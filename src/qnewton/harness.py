@@ -24,6 +24,7 @@ from .fixtures import (ABBBA_STARTS, GRIEWANK15_X0, ROSENBROCK2_X0,
                        STOCHASTIC_GRIEWANK_SEED, STOCHASTIC_GRIEWANK_X0,
                        STYBLINSKI100_X0)
 from .objectives import make_benchmark, make_stochastic_griewank
+from .objectives.base import as_integer
 from .optimizers import (METHODS, DeltaSchedule, StopCriteria, _write_utf8,
                          run)
 
@@ -127,8 +128,7 @@ def build_spec(name, objective, params=None, initial_points=None,
     StopCriteria or a dict of its fields.  A malformed value raises
     InvalidInputError.
     """
-    if seed is not None and not (isinstance(seed, (int, np.integer))
-                                 and seed >= 0):
+    if seed is not None and as_integer(seed, "seed") < 0:
         raise InvalidInputError(
             f"seed must be a nonnegative integer, got {seed!r}")
     if isinstance(stop, dict):

@@ -1,7 +1,5 @@
 """Objective contract and central finite differences."""
 
-import math
-
 import numpy as np
 
 from ..errors import DomainError, InvalidInputError
@@ -11,8 +9,12 @@ FD_HESS_STEP = 1e-4
 
 
 def as_integer(value, what):
-    """``value`` as an int; InvalidInputError unless it has an integer type."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int; InvalidInputError unless it has an integer type.
+
+    A bool is rejected although Python counts it as an int: ``True`` is
+    not a dimension or a count.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -69,18 +71,16 @@ class Objective:
     back to central finite differences of ``value``; the ``analytic_gradient``
     / ``analytic_hessian`` flags record which is which.
 
-    ``hessian`` returns a new, exactly symmetric array: an entry equal to
-    its mirror is kept as it is, and a pair that differs becomes
-    0.5*H[i, j] + 0.5*H[j, i] (the bits of (H + H.T)/2 in the normal range,
-    without its overflow above DBL_MAX/2).  It raises DomainError (carrying
-    the point) when the result has a non-finite entry, as the
-    finite-difference path does for a non-finite value on its stencil.  A
-    2x2 Hessian is symmetrized on Python floats, which skips numpy's
-    per-call overhead; the rule is the same.
+    ``hessian`` only evaluates: it returns the provider's array as a float
+    array (possibly the provider's own object, so a constant Hessian should
+    be read-only) or the finite-difference Hessian, and checks nothing.  A
+    step decomposes it with ``spectral.eigh``, the one check that it is
+    finite and exactly symmetric; a provider whose formula rounds the two
+    triangles differently symmetrizes its own product.
     """
 
     def __init__(self, dim, value, gradient=None, hessian=None, name=""):
-        self.dim = int(dim)
+        self.dim = as_integer(dim, "dim")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         self._value = value
@@ -102,30 +102,8 @@ class Objective:
     def hessian(self, x):
         x = np.asarray(x, dtype=float)
         if self._hessian is not None:
-            H = np.asarray(self._hessian(x), dtype=float)
-        else:
-            H = fd_hessian(self._value, x)
-        if H.shape == (2, 2):
-            (a, b), (c, d) = H.tolist()
-            if b != c:
-                b = c = 0.5 * b + 0.5 * c
-            # b == c now (or both NaN), so three tests cover four entries
-            finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(d)
-            H = np.array([[a, b], [c, d]])
-        else:
-            mirror = H == H.T
-            if mirror.all():
-                H = H.copy()
-            else:
-                half = 0.5 * H
-                S = half + half.T
-                np.copyto(S, H, where=mirror)
-                H = S
-            finite = np.isfinite(H).all()
-        if not finite:
-            raise DomainError(f"Hessian non-finite at {x!r}",
-                              point=np.array(x))
-        return H
+            return np.asarray(self._hessian(x), dtype=float)
+        return fd_hessian(self._value, x)
 
     def __repr__(self):
         kind = "analytic" if self.analytic_hessian else "fd"

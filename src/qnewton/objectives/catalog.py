@@ -220,6 +220,7 @@ def _cosine_integral_mix(dim, params):
 def _quadratic_2d(k, ident):
     def factory(dim, params):
         H = np.array([[2.0, k], [k, 2.0]])
+        H.setflags(write=False)     # hessian returns it as it is
 
         def value(x):
             return float(x[0] ** 2 + x[1] ** 2 + k * x[0] * x[1])
@@ -233,6 +234,7 @@ def _quadratic_2d(k, ident):
 _H15 = np.array([[-23.0, -61.0, 40.0],
                  [-61.0, -39.5, 155.0],
                  [40.0, 155.0, -50.0]])
+_H15.setflags(write=False)
 
 
 def _homogeneous_3d(dim, params):
@@ -488,6 +490,10 @@ def _griewank(dim, params):
         P = float(np.prod(C))
         T = S / rs
         H = -np.outer(T, T) * _pairwise_exclusion_products(C)
+        # [a, b] and [b, a] multiply their n - 2 cosines in different
+        # orders: a pair that differs takes 0.5*H[a, b] + 0.5*H[b, a]
+        differs = H != H.T
+        H[differs] = (0.5 * H + 0.5 * H.T)[differs]
         np.fill_diagonal(H, 1.0 / 2000.0 + P / idx)
         return H
 
@@ -496,6 +502,7 @@ def _griewank(dim, params):
 
 def _saddle(dim, params):
     H = np.array([[1.0, 0.0], [0.0, -1.0]])
+    H.setflags(write=False)
     return Objective(
         2,
         lambda x: float(0.5 * (x[0] ** 2 - x[1] ** 2)),

@@ -28,15 +28,19 @@ import numpy as np
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      NoValidDeltaError, SingularMatrixError,
                      StalledLineSearchError)
+from .objectives.base import as_integer
 from .objectives.stochastic import StochasticObjective, sample_batch_objective
 from .spectral import SpectralDecomposition, eigh, reflect_inverse_apply
 
 # Step failures that end a run with a "numerical-error" status instead of
 # propagating: everything that floating-point evaluation or the update rule
-# can legitimately hit at a bad point.
+# can legitimately hit at a bad point.  Inside the loop InvalidInputError
+# comes from eigh alone, the one check that the step's Hessian is finite
+# and exactly symmetric.
 _STEP_FAILURES = (NoValidDeltaError, SingularMatrixError,
                   StalledLineSearchError, NoConvergenceError, DomainError,
-                  OverflowError, ZeroDivisionError, FloatingPointError)
+                  InvalidInputError, OverflowError, ZeroDivisionError,
+                  FloatingPointError)
 
 # Failures of f at a line-search probe.  A probe that hits one counts as a
 # failed Armijo test, so the search shrinks the step instead of ending the
@@ -133,14 +137,15 @@ class StopCriteria:
     f_divergence_cap: float = 1e100
 
     def __post_init__(self):
+        max_iter = as_integer(self.max_iter, "max_iter")
+        if max_iter < 1:
+            raise InvalidInputError("max_iter must be >= 1")
+        object.__setattr__(self, "max_iter", max_iter)
         try:
-            too_few = self.max_iter < 1
             negative = min(self.grad_tol, self.step_tol,
                            self.f_divergence_cap) < 0
         except TypeError as exc:
             raise InvalidInputError(f"malformed stop criteria: {exc}") from exc
-        if too_few:
-            raise InvalidInputError("max_iter must be >= 1")
         if negative:
             raise InvalidInputError("tolerances must be nonnegative")
 

@@ -116,6 +116,11 @@ def _schur2(a, b, d):
 def eigh(A):
     """Decompose a symmetric matrix: closed form at n = 2, else LAPACK.
 
+    This is the one validity check on a step's Hessian: ``Objective.hessian``
+    only evaluates, and every step decomposes what it returns here, so a
+    non-finite or asymmetric Hessian ends the run "numerical-error" with
+    the message of the InvalidInputError raised here.
+
     Parameters
     ----------
     A : (n, n) array_like

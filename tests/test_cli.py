@@ -199,6 +199,11 @@ def test_compare_spec_file(tmp_path, capsys):
     {"methods": None},
     {"methods": [5]},
     {"methods": [{"alpha": 1}]},                          # no "method"
+    {"methods": [{"method": "nqn", "max_iter": 2.5}]},
+    {"stop": {"max_iter": 2.5}},
+    {"objective": "griewank", "params": {"dim": True},   # not Griewank-1
+     "initial_points": [[0.5]]},
+    {"seed": True},
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},

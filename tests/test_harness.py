@@ -145,7 +145,8 @@ def test_non_finite_hessian_run_writes_its_trace(tmp_path):
     assert row.iterations == 0
     sidecar = json.loads((tmp_path / "nqn.json").read_text())
     assert sidecar["termination"] == row.termination
-    assert sidecar["error"]["class"] == "DomainError"
+    assert sidecar["error"] == {"class": "InvalidInputError",
+                                "detail": "matrix has non-finite entries"}
 
 
 def _canonical(doc):

@@ -11,9 +11,13 @@ from qnewton.objectives import (Objective, catalog_entries, catalog_listing,
                                 normal_sampler, pair_coupling, parse_sequence,
                                 protein_energy, protein_objective,
                                 sample_batch_objective)
+from qnewton.objectives.base import as_integer
 from qnewton.objectives.catalog import (_pairwise_exclusion_products,
                                         _rosenbrock_grad, _rosenbrock_hess,
                                         _rosenbrock_value)
+from qnewton.optimizers import DeltaSchedule, run
+from qnewton.rootfind import builtin, mero_objective
+from qnewton.spectral import eigh
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +75,10 @@ def test_objective_fd_fallback_and_flags():
 
 
 def _hessian_objective(H):
+    """f = 0 with gradient (1, ..., 1), so a run must take a step, and the
+    constant Hessian H."""
     n = len(H)
-    return Objective(n, lambda x: 0.0, gradient=lambda x: np.zeros(n),
+    return Objective(n, lambda x: 0.0, gradient=lambda x: np.ones(n),
                      hessian=lambda x: H)
 
 
@@ -88,71 +94,156 @@ def test_exactly_symmetric_hessian_is_returned_as_it_is(H):
     out = _hessian_objective(H).hessian(np.zeros(len(H)))
     assert out.dtype == np.float64 and out.shape == H.shape
     assert out.tobytes() == H.tobytes()
-    assert out is not H and not np.shares_memory(out, H)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_asymmetric_pair_is_averaged_without_overflow(n):
-    H = np.eye(n)
-    H[0, 1], H[1, 0] = BIG, 1.5e308          # their sum overflows
-    if n == 3:
-        H[0, 2], H[2, 0] = 0.25, 0.75
-    out = _hessian_objective(H).hessian(np.zeros(n))
-    assert out[0, 1] == out[1, 0] == 0.5 * BIG + 0.5 * 1.5e308
-    assert np.array_equal(out, out.T)
-    assert np.array_equal(np.diag(out), np.ones(n))
-    if n == 3:
-        assert out[0, 2] == out[2, 0] == 0.5
-        assert out[1, 2] == out[2, 1] == 0.0
+def test_hessian_evaluates_and_checks_nothing():
+    # validity is eigh's to check: an asymmetric or non-finite Hessian is
+    # returned as the provider gave it
+    H = np.array([[1.0, np.nan], [2.0, np.inf]])
+    assert _hessian_objective(H).hessian(np.zeros(2)) is H
 
 
 def _symmetrize_array(H):
-    """The numpy form of the symmetrize rule, without the symmetric shortcut."""
+    """The reference pair rule: a pair that differs becomes
+    0.5*H[i, j] + 0.5*H[j, i], and an equal pair is kept as it is."""
     half = 0.5 * H
     S = half + half.T
     np.copyto(S, H, where=H == H.T)
     return S
 
 
-def _catalog_hessian(name, dim):
-    x = np.random.default_rng(1).uniform(-5, 5, dim)
-    return np.asarray(make_benchmark(name, dim)._hessian(x), dtype=float)
-
-
-def _mixed_hessian():
-    # one asymmetric pair, and an equal pair that averaging would change:
-    # 0.5 * 5e-324 rounds to 0
-    H = np.eye(3)
-    H[0, 1], H[1, 0] = 0.25, 0.75
-    H[0, 2] = H[2, 0] = 5e-324
+def _griewank_product(x):
+    """Griewank's vectorized Hessian before the pair rule: from n = 5 on
+    some [a, b] and [b, a] differ in their last bits."""
+    n = x.size
+    idx = np.arange(1, n + 1, dtype=float)
+    rs = np.sqrt(idx)
+    u = x / rs
+    C, S = np.cos(u), np.sin(u)
+    T = S / rs
+    H = -np.outer(T, T) * _pairwise_exclusion_products(C)
+    np.fill_diagonal(H, 1.0 / 2000.0 + float(np.prod(C)) / idx)
     return H
 
 
-# Rosenbrock's Hessian is built exactly symmetric and takes the copy;
-# Griewank's forms the product for [a, b] and [b, a] in different orders,
-# so some pairs differ in the last bits and are averaged.
-@pytest.mark.parametrize("make, symmetric", [
-    (lambda: _catalog_hessian("rosenbrock", 30), True),
-    (lambda: _catalog_hessian("griewank", 15), False),
-    (_mixed_hessian, False),
-], ids=["rosenbrock30", "griewank15", "subnormal-pair"])
-def test_numpy_path_matches_the_array_rule(make, symmetric):
-    H = make()
-    assert np.array_equal(H, H.T) == symmetric
-    out = _hessian_objective(H).hessian(np.zeros(len(H)))
-    assert np.array_equal(out, _symmetrize_array(H))
-    assert out is not H and not np.shares_memory(out, H)
+# Each numpy-built provider of the dense-hessian workload gives the pair rule
+# applied to its own product, bit for bit, so that its trajectories keep
+# their last bits.  Rosenbrock builds its product symmetric; Griewank's
+# needs the rule.
+@pytest.mark.parametrize("name, dim, product", [
+    ("rosenbrock", 30, _rosenbrock_hess),
+    ("griewank", 3, _griewank_product),
+    ("griewank", 15, _griewank_product),
+    ("griewank", 30, _griewank_product),
+], ids=["rosenbrock30", "griewank3", "griewank15", "griewank30"])
+def test_numpy_path_matches_the_array_rule(name, dim, product):
+    obj = make_benchmark(name, dim)
+    rng = np.random.default_rng(dim)
+    repaired = 0
+    for _ in range(50):
+        x = rng.uniform(-20, 20, dim)
+        raw = product(x)
+        assert obj.hessian(x).tobytes() == _symmetrize_array(raw).tobytes()
+        repaired += not np.array_equal(raw, raw.T)
+    # each product entry multiplies n - 2 cosines, which is exact in any
+    # order for n <= 4, so the rule has work to do from n = 5 on
+    assert (repaired > 0) == (name == "griewank" and dim >= 5)
 
 
+def _exactly_symmetric_at(hessian, points):
+    for x in points:
+        H = hessian(x)
+        assert H.shape == (x.size, x.size)
+        assert np.isfinite(H).all() and (H == H.T).all(), x
+
+
+def _box_points(box, dim, seed, count=50):
+    lo, hi = box
+    return np.random.default_rng(seed).uniform(lo, hi, (count, dim))
+
+
+def _catalog_providers():
+    for e in catalog_entries():
+        if e.ident == "protein":
+            continue
+        dims = [e.default_dim] + ([] if e.fixed_dim else [15])
+        for dim in dims:
+            yield pytest.param(e.ident, dim, id=f"{e.ident}-{dim}")
+
+
+# eigh rejects a Hessian that is not exactly symmetric, and no provider in
+# the package relies on anything to repair it: each one gives an exactly
+# symmetric, finite matrix at seeded points of its entry's probe box.
+@pytest.mark.parametrize("name, dim", list(_catalog_providers()))
+def test_catalog_hessians_are_exactly_symmetric(name, dim):
+    entry = next(e for e in catalog_entries() if e.ident == name)
+    obj = make_benchmark(name, dim)
+    points = _box_points(entry.probe_box, dim, seed=dim)
+    if name == "ex11":          # Ci(2/t) is real only for t > 0
+        points = np.abs(points)
+    _exactly_symmetric_at(obj.hessian, points)
+
+
+def test_chain_and_batch_hessians_are_exactly_symmetric():
+    chain = make_benchmark("protein:ABBBA")
+    _exactly_symmetric_at(chain.hessian,
+                          _box_points((-3.0, 3.0), chain.dim, seed=1))
+    s = make_stochastic_griewank(dim=5, batch_size=8, sigma=0.5, seed=3)
+    _exactly_symmetric_at(sample_batch_objective(s, 0).hessian,
+                          _box_points((-3.0, 3.0), 5, seed=2))
+    griewank = make_benchmark("griewank", 6)
+    _exactly_symmetric_at(lambda x: fd_hessian(griewank.value, x),
+                          _box_points((-3.0, 3.0), 6, seed=3))
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5", "g6"])
+def test_mero_hessians_are_exactly_symmetric(name):
+    obj = mero_objective(builtin(name))
+    _exactly_symmetric_at(obj.hessian, _box_points((-3.0, 3.0), 2, seed=4))
+
+
+NEWTON_TYPE = ["nqn", "nqn-backtracking", "newton", "random-damping-newton"]
+
+
+def _ends_on_a_bad_hessian(obj, x0, message):
+    """Every Newton-type method stops before its first update, reporting
+    eigh's rejection of the Hessian at x0."""
+    for method in NEWTON_TYPE:
+        trace = run(method, obj, np.asarray(x0, dtype=float), seed=0,
+                    sched=DeltaSchedule(deltas=(0.0, 1.0, -1.0, 2.0)))
+        assert trace.termination == f"numerical-error: {message}"
+        assert trace.error_class == "InvalidInputError"
+        assert trace.iterations == 0
+
+
+# A non-finite Hessian entry is outside the domain of eigh, the step's one
+# check of its Hessian: the run ends numerical-error instead of raising.
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_2x2_non_finite_hessian_entry_is_a_domain_error(bad, where):
     H = np.array([[2.0, 1.0], [1.0, 3.0]])
     H[where] = bad
-    x = np.array([0.5, -0.25])
-    with pytest.raises(DomainError) as err:
-        _hessian_objective(H).hessian(x)
-    assert np.array_equal(err.value.point, x)
+    _ends_on_a_bad_hessian(_hessian_objective(H), [0.5, -0.25],
+                           "matrix has non-finite entries")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_asymmetric_hessian_ends_as_numerical_error(n):
+    # a hand-built Hessian is not averaged: eigh reports the asymmetry
+    H = np.eye(n)
+    H[0, 1], H[1, 0] = BIG, 1.5e308
+    _ends_on_a_bad_hessian(_hessian_objective(H), np.zeros(n),
+                           "matrix is not exactly symmetric")
+
+
+def test_rosenbrock_hessian_overflow_is_a_domain_error():
+    # Objective.hessian returns the overflowed matrix, and eigh rejects it.
+    # No run reaches it: Rosenbrock's Hessian overflows only for |x| above
+    # 1e152, where a run has already ended diverged.
+    H = make_benchmark("rosenbrock", 3).hessian([1.0, 1e200, 1.0])
+    assert not np.isfinite(H).all()
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        eigh(H)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +303,6 @@ def test_rosenbrock_matches_array_reference(n):
             assert H.dtype == np.float64 and H.shape == (n, n)
             assert np.array_equal(H, H.T)
             assert np.array_equal(H, _rosenbrock_hess_array(x))
-
-
-def test_rosenbrock_hessian_overflow_is_a_domain_error():
-    obj = make_benchmark("rosenbrock", 3)
-    with pytest.raises(DomainError):
-        obj.hessian([1.0, 1e200, 1.0])
 
 
 def test_griewank_at_origin():
@@ -309,6 +394,20 @@ def test_non_integral_dim_rejected():
     with pytest.raises(InvalidInputError, match="dim must be an integer"):
         make_benchmark("rosenbrock", dim=3.7)
     assert make_benchmark("rosenbrock", dim=np.int64(3)).dim == 3
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.9, 2.0, "2"])
+def test_integer_rule(bad):
+    with pytest.raises(InvalidInputError, match="n must be an integer"):
+        as_integer(bad, "n")
+    with pytest.raises(InvalidInputError, match="dim must be an integer"):
+        Objective(bad, lambda x: 0.0)
+    with pytest.raises(InvalidInputError, match="dim must be an integer"):
+        make_benchmark("griewank", dim=bad)
+    with pytest.raises(InvalidInputError, match="dim must be an integer"):
+        make_stochastic_griewank(dim=bad, batch_size=4, sigma=0.1, seed=1)
+    with pytest.raises(InvalidInputError, match="seed must be an integer"):
+        make_stochastic_griewank(dim=2, batch_size=4, sigma=0.1, seed=bad)
 
 
 def test_parametric_dim_below_minimum_rejected():

@@ -109,6 +109,12 @@ def test_stop_criteria_validation():
         StopCriteria(grad_tol=-1e-3)
     with pytest.raises(InvalidInputError):
         StopCriteria(max_iter="ten")
+    for bad in (2.5, 3.0, True, None):
+        with pytest.raises(InvalidInputError,
+                           match="max_iter must be an integer"):
+            StopCriteria(max_iter=bad)
+    stop = StopCriteria(max_iter=np.int64(3))
+    assert stop.max_iter == 3 and type(stop.max_iter) is int
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +444,20 @@ def test_numerical_error_status_on_shift_exhaustion():
 @pytest.mark.parametrize("method", ["nqn", "nqn-backtracking", "newton",
                                     "random-damping-newton"])
 def test_non_finite_hessian_ends_as_numerical_error(method):
-    obj = Objective(1, lambda x: 0.5 * x[0] ** 2,
-                    gradient=lambda x: np.array([x[0]]),
-                    hessian=lambda x: np.array([[np.nan]]), name="nan-hess")
-    trace = run(method, obj, np.array([1.0]), seed=0)
-    assert trace.termination.startswith("numerical-error: Hessian non-finite")
-    assert trace.error_class == "DomainError"
-    assert trace.iterations == 0
+    # eigh, the step's one check of its Hessian, rejects it before any update
+    for n in (1, 2, 3):
+        for bad in (np.nan, np.inf, -np.inf):
+            H = np.eye(n)
+            H[-1, -1] = bad
+            obj = Objective(n, lambda x: 0.5 * float(x @ x),
+                            gradient=lambda x: x.copy(),
+                            hessian=lambda x, H=H: H, name="bad-hess")
+            trace = run(method, obj, np.ones(n), seed=0,
+                        sched=DeltaSchedule(deltas=(0.0, 1.0, -1.0, 2.0)))
+            assert trace.termination == (
+                "numerical-error: matrix has non-finite entries")
+            assert trace.error_class == "InvalidInputError"
+            assert trace.iterations == 0
 
 
 def test_driver_warns_on_small_delta_set():

@@ -142,7 +142,7 @@ def test_eigh_2x2_matches_lapack(A):
 
 
 # ---------------------------------------------------------------------------
-# the 2x2 reflected apply and Hessian wrapper on Python floats
+# the 2x2 reflected apply on Python floats
 # ---------------------------------------------------------------------------
 
 APPLY2_RTOL = 16.0         # error bound, in units of eps * the sum below
@@ -175,43 +175,3 @@ def test_reflect_inverse_apply_2x2_matches_the_array_form(A, g, signed):
     w = reflect_inverse_apply(dec, g, signed=signed)
     assert w.dtype == np.float64 and w.shape == (2,)
     assert np.all(np.abs(w - want) <= bound)
-
-
-def _hessian_of(H):
-    from qnewton.objectives import Objective
-    return Objective(len(H), lambda x: 0.0, hessian=lambda x: H).hessian(
-        np.zeros(len(H)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(H=_sym2())
-def test_2x2_hessian_keeps_the_bits_of_the_array_form(H):
-    with np.errstate(over="ignore"):
-        want = 0.5 * (H + H.T)
-    if not np.isfinite(want).all():
-        want = H        # the array form overflowed; H itself is returned
-    assert _hessian_of(H).tobytes() == want.tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_entry, b=_entry, c=_entry, d=_entry)
-@example(a=1.0, b=1e308, c=1.5e308, d=1.0)
-@example(a=1.0, b=5e-324, c=-5e-324, d=1.0)
-def test_2x2_hessian_follows_the_array_rule(a, b, c, d):
-    # the n = 2 float path against the numpy path, which a 3x3 with the
-    # 2x2 as its leading block takes
-    from qnewton.errors import DomainError
-    H2 = np.array([[a, b], [c, d]])
-    H3 = np.eye(3)
-    H3[:2, :2] = H2
-    try:
-        got = _hessian_of(H2)
-    except DomainError:
-        got = None
-    try:
-        want = _hessian_of(H3)[:2, :2]
-    except DomainError:
-        want = None
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
