@@ -17,12 +17,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InvalidInputError
-from .harness import (ExperimentSpec, SUITES, build_spec, emit_report,
-                      results_root, run_experiment, run_to_row, suite_spec)
-from .objectives import catalog_listing, default_start, make_benchmark
+from .harness import (ExperimentSpec, SUITES, _resolve_objective, build_spec,
+                      emit_report, results_root, run_experiment, run_to_row,
+                      suite_spec)
+from .objectives import catalog_listing, default_start
 from .optimizers import METHODS, DeltaSchedule, StopCriteria
 from .rootfind import (BUILTINS, builtin, find_root, parse_poly_coeffs,
                        poly_mero)
@@ -117,10 +116,9 @@ def cmd_minimize(args):
            else results_root() / "minimize" / f"{slug}-{args.method}.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     cfg, = spec.methods
-    row = run_to_row(cfg.method, args.function,
-                     make_benchmark(args.function, dim=dim),
-                     np.asarray(spec.initial_points[0]), cfg.sched,
-                     spec.stop, args.seed, out)
+    obj = _resolve_objective(spec.objective, spec.params, spec.seed)
+    row = run_to_row(cfg.method, args.function, obj, spec.initial_points[0],
+                     cfg.sched, spec.stop, args.seed, out)
     sys.stdout.write(emit_report([row], "csv"))
     sys.stderr.write(f"trace written to {out}\n")
     return 0

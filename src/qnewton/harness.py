@@ -55,7 +55,7 @@ class MethodConfig:
 class ExperimentSpec:
     name: str
     objective: str                       # catalog name or stochastic-griewank
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)   # the objective's keywords
     initial_points: tuple = ()           # tuple of float tuples
     methods: tuple = ()                  # tuple of MethodConfig
     stop: StopCriteria = field(default_factory=StopCriteria)
@@ -106,16 +106,12 @@ class ExperimentSpec:
 
 
 def _resolve_objective(objective, params, seed):
-    params = dict(params)
+    # params are the builder's keywords, and may override the spec's seed
     if objective == "stochastic-griewank":
         return make_stochastic_griewank(
-            dim=params.get("dim", STOCHASTIC_GRIEWANK_DIM),
-            batch_size=params.get("batch_size", 500),
-            sigma=float(params.get("sigma", np.sqrt(0.1))),
-            seed=params.get("seed", seed if seed is not None
-                            else STOCHASTIC_GRIEWANK_SEED))
-    dim = params.pop("dim", None)
-    return make_benchmark(objective, dim=dim, params=params)
+            **{**({} if seed is None else {"seed": seed}), **params})
+    params = dict(params)
+    return make_benchmark(objective, params.pop("dim", None), params)
 
 
 def build_spec(name, objective, params=None, initial_points=None,
@@ -152,7 +148,7 @@ def build_spec(name, objective, params=None, initial_points=None,
         if isinstance(initial_points, dict):
             rng = np.random.default_rng(initial_points.get("seed", seed))
             lo, hi = initial_points.get("box", (-2.0, 2.0))
-            count = int(initial_points.get("count", 1))
+            count = as_integer(initial_points.get("count", 1), "count")
             pts = rng.uniform(lo, hi, size=(count, dim))
         else:
             pts = np.atleast_2d(np.asarray(list(initial_points), dtype=float))

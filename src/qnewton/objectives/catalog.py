@@ -9,6 +9,7 @@ ex20, ex22) fall back to central finite differences on purpose — divergence
 or cycling on them is expected behavior to reproduce, not a bug to fix.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -63,15 +64,15 @@ def _make_1d(value, grad=None, hess=None, name=""):
     return Objective(1, lambda x: value(_scalar(x)), g, h, name=name)
 
 
-def _abs_power_43(dim, params):
+def _abs_power_43(dim):
     return _make_1d(lambda t: abs(t) ** (4.0 / 3.0), name="ex01")
 
 
-def _abs_power_13(dim, params):
+def _abs_power_13(dim):
     return _make_1d(lambda t: abs(t) ** (1.0 / 3.0), name="ex02")
 
 
-def _exp_inv_square(dim, params):
+def _exp_inv_square(dim):
     def value(t):
         return math.exp(-1.0 / (t * t)) if t != 0.0 else 0.0
 
@@ -84,7 +85,7 @@ def _exp_inv_square(dim, params):
     return _make_1d(value, grad, hess, name="ex03")
 
 
-def _cubic_sin_inv(dim, params):
+def _cubic_sin_inv(dim):
     def value(t):
         return t ** 3 * math.sin(1.0 / t) if t != 0.0 else 0.0
 
@@ -102,7 +103,7 @@ def _cubic_sin_inv(dim, params):
     return _make_1d(value, grad, hess, name="ex04")
 
 
-def _cubic_cos_inv(dim, params):
+def _cubic_cos_inv(dim):
     def value(t):
         return t ** 3 * math.cos(1.0 / t) if t != 0.0 else 0.0
 
@@ -120,7 +121,7 @@ def _cubic_cos_inv(dim, params):
     return _make_1d(value, grad, hess, name="ex05")
 
 
-def _exp_sq_minus_cubic(dim, params):
+def _exp_sq_minus_cubic(dim):
     return _make_1d(
         lambda t: math.exp(t * t) - 2 * t ** 3,
         lambda t: 2 * t * math.exp(t * t) - 6 * t * t,
@@ -181,21 +182,19 @@ def _rosenbrock_hess(x):
     return H.reshape(n, n)
 
 
-def _rosenbrock(dim, params):
-    if dim < 2:
-        raise InvalidInputError("rosenbrock needs dim >= 2")
+def _rosenbrock(dim):
     return Objective(dim, _rosenbrock_value, _rosenbrock_grad,
                      _rosenbrock_hess, name=f"rosenbrock-{dim}")
 
 
-def _bolte_abs(dim, params):
+def _bolte_abs(dim):
     def value(x):
         return float(100.0 * (x[1] - abs(x[0])) ** 2 + abs(1.0 - x[0]))
 
     return Objective(2, value, name="ex09")
 
 
-def _quartic_cycling(dim, params):
+def _quartic_cycling(dim):
     return _make_1d(
         lambda t: t ** 4 / 4.0 - t * t + 2.0 * t,
         lambda t: t ** 3 - 2.0 * t + 2.0,
@@ -203,7 +202,7 @@ def _quartic_cycling(dim, params):
         name="ex10")
 
 
-def _cosine_integral_mix(dim, params):
+def _cosine_integral_mix(dim):
     def value(x):
         t = _scalar(x)
         if t <= 0.0:
@@ -218,7 +217,7 @@ def _cosine_integral_mix(dim, params):
 
 
 def _quadratic_2d(k, ident):
-    def factory(dim, params):
+    def factory(dim):
         H = np.array([[2.0, k], [k, 2.0]])
         H.setflags(write=False)     # hessian returns it as it is
 
@@ -237,7 +236,7 @@ _H15 = np.array([[-23.0, -61.0, 40.0],
 _H15.setflags(write=False)
 
 
-def _homogeneous_3d(dim, params):
+def _homogeneous_3d(dim):
     return Objective(
         3,
         lambda x: float(0.5 * x @ (_H15 @ x)),
@@ -246,7 +245,7 @@ def _homogeneous_3d(dim, params):
         name="ex15")
 
 
-def _ackley(dim, params):
+def _ackley(dim):
     # Printed with fixed 0.5 coefficients inside both exponentials
     # (independent of dimension); minimum value e - e^(0.5*dim) at the origin.
     def parts(x):
@@ -282,7 +281,7 @@ def _ackley(dim, params):
     return Objective(dim, value, grad, hess, name=f"ackley-{dim}")
 
 
-def _rastrigin(dim, params):
+def _rastrigin(dim):
     A = 10.0
 
     def value(x):
@@ -297,7 +296,7 @@ def _rastrigin(dim, params):
     return Objective(dim, value, grad, hess, name=f"rastrigin-{dim}")
 
 
-def _beale(dim, params):
+def _beale(dim):
     def terms(x, y):
         return (1.5 - x + x * y, 2.25 - x + x * y * y,
                 2.625 - x + x * y ** 3)
@@ -330,7 +329,7 @@ def _beale(dim, params):
     return Objective(2, value, grad, hess, name="beale")
 
 
-def _bukin6(dim, params):
+def _bukin6(dim):
     def value(v):
         x, y = v
         return float(100.0 * math.sqrt(abs(y - 0.01 * x * x))
@@ -339,7 +338,7 @@ def _bukin6(dim, params):
     return Objective(2, value, name="bukin6")
 
 
-def _levi13(dim, params):
+def _levi13(dim):
     def value(v):
         x, y = v
         return float(math.sin(3 * _PI * x) ** 2
@@ -370,7 +369,7 @@ def _levi13(dim, params):
     return Objective(2, value, grad, hess, name="levi13")
 
 
-def _eggholder(dim, params):
+def _eggholder(dim):
     def value(v):
         x, y = v
         return float(-(y + 47.0) * math.sin(math.sqrt(abs(x / 2.0 + y + 47.0)))
@@ -379,7 +378,7 @@ def _eggholder(dim, params):
     return Objective(2, value, name="eggholder")
 
 
-def _mccormick(dim, params):
+def _mccormick(dim):
     def value(v):
         x, y = v
         return float(math.sin(x + y) + (x - y) ** 2 - 1.5 * x + 2.5 * y + 1.0)
@@ -431,7 +430,7 @@ def _ratio_objective(Nfuncs, name):
     return Objective(2, value, grad, hess, name=name)
 
 
-def _schaffer2(dim, params):
+def _schaffer2(dim):
     def N(x, y):
         u = x * x - y * y
         s2u, c2u = math.sin(2 * u), math.cos(2 * u)
@@ -443,7 +442,7 @@ def _schaffer2(dim, params):
     return _ratio_objective(N, "schaffer2")
 
 
-def _schaffer4(dim, params):
+def _schaffer4(dim):
     # cos²(sin|u|) equals cos²(sin u): the absolute value inside is
     # neutralized by the even outer functions, so derivatives are global.
     def N(x, y):
@@ -459,7 +458,7 @@ def _schaffer4(dim, params):
     return _ratio_objective(N, "schaffer4")
 
 
-def _styblinski(dim, params):
+def _styblinski(dim):
     def value(x):
         return float(np.sum(x ** 4 - 16.0 * x * x + 5.0 * x) / 2.0)
 
@@ -472,7 +471,7 @@ def _styblinski(dim, params):
     return Objective(dim, value, grad, hess, name=f"styblinski-tang-{dim}")
 
 
-def _griewank(dim, params):
+def _griewank(dim):
     idx = np.arange(1, dim + 1, dtype=float)
     rs = np.sqrt(idx)
 
@@ -500,7 +499,7 @@ def _griewank(dim, params):
     return Objective(dim, value, grad, hess, name=f"griewank-{dim}")
 
 
-def _saddle(dim, params):
+def _saddle(dim):
     H = np.array([[1.0, 0.0], [0.0, -1.0]])
     H.setflags(write=False)
     return Objective(
@@ -511,12 +510,11 @@ def _saddle(dim, params):
         name="saddle")
 
 
-def _protein(dim, params):
-    seq = (params or {}).get("sequence")
-    if not seq:
+def _protein(dim, sequence=None):
+    if not sequence:
         raise InvalidInputError(
             "protein needs a sequence parameter, e.g. protein:ABBBA")
-    return protein_objective(seq)
+    return protein_objective(sequence)
 
 
 # --------------------------------------------------------------------------
@@ -579,7 +577,7 @@ _register(CatalogEntry("ex10", _quartic_cycling, 10, ("quartic-cycling",),
                        known_min="", smooth=True, default_x0=(0.0,)))
 _register(CatalogEntry("ex11", _cosine_integral_mix, 11,
                        ("cosine-integral-mix",), known_min="",
-                       default_x0=(1.00001188,)))
+                       default_x0=(1.00001188,), probe_box=(0.3, 3.0)))
 _register(CatalogEntry("ex12", _quadratic_2d(4.0, "ex12"), 12,
                        ("quadratic-saddle-4xy",), default_dim=2,
                        known_min="saddle at origin", smooth=True,
@@ -675,18 +673,23 @@ def make_benchmark(name, dim=None, params=None):
     built at their registered dimension and parametric ones at ``dim``
     (default: the registered one); a ``dim`` the built objective does not
     have is rejected, so a protein chain's dim follows from its sequence.
+    ``params`` are the entry's keyword arguments: protein's ``sequence`` is
+    the only one, and any other key, ``dim`` included, is rejected.
     """
     entry, extra = resolve_entry(name)
-    merged = dict(extra)
-    if params:
-        merged.update(params)
+    params = {**extra, **(params or {})}
     if dim is not None:
         dim = as_integer(dim, "dim")
         if dim < entry.min_dim:
             raise InvalidInputError(
                 f"{entry.ident} needs dim >= {entry.min_dim}, got {dim}")
-    obj = entry.factory(
-        entry.default_dim if dim is None or entry.fixed_dim else dim, merged)
+    size = entry.default_dim if dim is None or entry.fixed_dim else dim
+    try:
+        if params:          # only params can fail to bind
+            inspect.signature(entry.factory).bind(size, **params)
+    except TypeError as exc:
+        raise InvalidInputError(f"{name}: {exc}") from None
+    obj = entry.factory(size, **params)
     if dim is not None and obj.dim != dim:
         raise InvalidInputError(f"{name} has dim {obj.dim}, got {dim}")
     return obj

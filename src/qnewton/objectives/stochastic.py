@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
+from ..fixtures import STOCHASTIC_GRIEWANK_DIM, STOCHASTIC_GRIEWANK_SEED
 from .base import Objective, as_integer
 from .catalog import _exclusion_products
 
@@ -58,7 +59,9 @@ def sample_batch_objective(s, step_index):
 # scaled Griewank family: f(x, xi) = 1 + |xi x|^2/4000 - prod cos(x_i xi / sqrt(i))
 # --------------------------------------------------------------------------
 
-def make_stochastic_griewank(dim, batch_size, sigma, seed):
+def make_stochastic_griewank(dim=STOCHASTIC_GRIEWANK_DIM, batch_size=500,
+                             sigma=float(np.sqrt(0.1)),
+                             seed=STOCHASTIC_GRIEWANK_SEED):
     """Griewank with a random scalar scale xi ~ N(1, sigma^2) per sample.
 
     The batch average keeps closed-form derivatives: every sample is a
@@ -114,5 +117,5 @@ def make_stochastic_griewank(dim, batch_size, sigma, seed):
 
     return StochasticObjective(
         dim=dim, batch_size=batch_size, rng_seed=seed,
-        sampler=normal_sampler(1.0, sigma), make_batch=make_batch,
+        sampler=normal_sampler(1.0, float(sigma)), make_batch=make_batch,
         name=f"stochastic-griewank-{dim}")

@@ -127,6 +127,23 @@ def test_negative_seed_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim 10
+def test_minimize_runs_stochastic_griewank_as_compare_does(tmp_path, capsys):
+    flags = ["--function", "stochastic-griewank", "--x0", ",".join(["10"] * 10),
+             "--max-iter", "5"]
+    assert run_cli(["minimize", *flags,
+                    "--out", str(tmp_path / "m.csv")]) == 0
+    single, = read_rows(capsys.readouterr().out)
+    assert run_cli(["compare", *flags, "--methods", "nqn", "--format", "csv",
+                    "--out", str(tmp_path / "c")]) == 0
+    grid, = read_rows(capsys.readouterr().out)
+    single.pop("wall_seconds")
+    grid.pop("wall_seconds")
+    assert single == grid
+    assert single["iterations"] == "5"
+    assert json.loads((tmp_path / "m.json").read_text())["iterations"] == 5
+
+
 def test_minimize_undefined_start_exits_2(tmp_path, capsys):
     # ex11 is undefined at 0: the run itself rejects the start
     code = run_cli(["minimize", "--function", "ex11", "--x0", "0",
@@ -204,6 +221,12 @@ def test_compare_spec_file(tmp_path, capsys):
     {"objective": "griewank", "params": {"dim": True},   # not Griewank-1
      "initial_points": [[0.5]]},
     {"seed": True},
+    {"params": {"dim": 2, "dims": 5}},                    # unknown param
+    {"objective": "stochastic-griewank",
+     "params": {"dim": 2, "batchsize": 5}},
+    {"objective": "protein", "params": {"sequence": "ABBBA", "seq": "B"},
+     "initial_points": [[0.5] * 3]},
+    {"initial_points": {"count": 2.5, "seed": 1}},
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},

@@ -26,7 +26,7 @@ from qnewton.harness import (
     suite_spec,
     x0_digest,
 )
-from qnewton.objectives import Objective
+from qnewton.objectives import Objective, make_stochastic_griewank
 from qnewton.optimizers import DeltaSchedule, StopCriteria
 
 
@@ -240,6 +240,22 @@ def test_non_integral_stochastic_sizes_rejected(params):
         _resolve_objective("stochastic-griewank", params, seed=None)
     assert _resolve_objective("stochastic-griewank",
                               {"dim": 3, "batch_size": 10}, None).dim == 3
+
+
+def test_stochastic_griewank_defaults_are_its_builders():
+    spec = build_spec("x", "stochastic-griewank", None, [[10.0] * 10],
+                      ["nqn"])
+    assert spec.params == {}
+    s = _resolve_objective(spec.objective, spec.params, spec.seed)
+    reference = make_stochastic_griewank(10, 500, float(np.sqrt(0.1)), 42)
+    assert s.dim == reference.dim == 10
+    assert np.array_equal(s.sample_xi(0), reference.sample_xi(0))
+
+
+def test_spec_seed_is_the_realization_seed_unless_params_name_one():
+    assert _resolve_objective("stochastic-griewank", {}, 7).rng_seed == 7
+    assert _resolve_objective("stochastic-griewank", {"seed": 3},
+                              7).rng_seed == 3
 
 
 def test_unknown_method_key():

@@ -1,5 +1,7 @@
 """Benchmark catalog, finite differences, chain energy, stochastic batches."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -178,10 +180,8 @@ def _catalog_providers():
 def test_catalog_hessians_are_exactly_symmetric(name, dim):
     entry = next(e for e in catalog_entries() if e.ident == name)
     obj = make_benchmark(name, dim)
-    points = _box_points(entry.probe_box, dim, seed=dim)
-    if name == "ex11":          # Ci(2/t) is real only for t > 0
-        points = np.abs(points)
-    _exactly_symmetric_at(obj.hessian, points)
+    _exactly_symmetric_at(obj.hessian,
+                          _box_points(entry.probe_box, dim, seed=dim))
 
 
 def test_chain_and_batch_hessians_are_exactly_symmetric():
@@ -413,6 +413,28 @@ def test_integer_rule(bad):
 def test_parametric_dim_below_minimum_rejected():
     with pytest.raises(InvalidInputError):
         make_benchmark("rosenbrock", 1)
+
+
+# params are the entry's keyword arguments: a key it does not take, dim
+# included (make_benchmark's own argument), names the objective and the key
+@pytest.mark.parametrize("name, params, key", [
+    ("rosenbrock", {"dim": 5}, "dim"),
+    ("rosenbrock", {"dims": 5}, "dims"),
+    ("ex13", {"sequence": "AB"}, "sequence"),
+    ("protein:ABBBA", {"seq": "B"}, "seq"),
+    ("protein", {"sequence": "ABBBA", "seq": "B"}, "seq"),
+])
+def test_unknown_param_rejected(name, params, key):
+    with pytest.raises(InvalidInputError,
+                       match=rf"^{re.escape(name)}: .*'{key}'$"):
+        make_benchmark(name, params=params)
+
+
+def test_protein_sequence_is_its_only_param():
+    assert make_benchmark("protein", params={"sequence": "ABBBA"}).dim == 3
+    assert make_benchmark("protein:AB", params={"sequence": "ABBBA"}).dim == 3
+    with pytest.raises(InvalidInputError, match="needs a sequence"):
+        make_benchmark("protein")
 
 
 def test_catalog_listing_structure():
