@@ -80,7 +80,9 @@ def _names(table):
 
 def _registered_start(function):
     """The catalog start of ``function``, as a one-point list."""
-    start = default_start(function)
+    # stochastic-griewank is built outside the catalog and registers none
+    start = (None if function == "stochastic-griewank"
+             else default_start(function))
     if start is None:
         raise InvalidInputError(
             f"{function} has no registered start point; pass --x0")

@@ -12,6 +12,11 @@ Also here: the backtracking variant (shift floor plus Armijo halving, which
 buys monotone function values), classical Newton, randomly damped Newton,
 and a two-way backtracking gradient descent, all driven by one loop with a
 shared trace format.
+
+The four Newton-type steps share one direction helper, ``_direction``,
+which runs a 2-d step on Python floats with no decomposition arrays and
+every other size through the public ``select_delta`` (or ``eigh``) and
+``reflect_inverse_apply``, which are unchanged; both give the same bits.
 """
 
 import json
@@ -30,13 +35,14 @@ from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      StalledLineSearchError)
 from .objectives.base import as_integer
 from .objectives.stochastic import StochasticObjective, sample_batch_objective
-from .spectral import SpectralDecomposition, eigh, reflect_inverse_apply
+from .spectral import (SpectralDecomposition, eigh, eigh_2x2,
+                       reflect_apply_2x2, reflect_inverse_apply)
 
 # Step failures that end a run with a "numerical-error" status instead of
 # propagating: everything that floating-point evaluation or the update rule
 # can legitimately hit at a bad point.  Inside the loop InvalidInputError
-# comes from eigh alone, the one check that the step's Hessian is finite
-# and exactly symmetric.
+# comes from eigh alone (eigh_2x2 on a 2-d problem), the one check that the
+# step's Hessian is finite and exactly symmetric.
 _STEP_FAILURES = (NoValidDeltaError, SingularMatrixError,
                   StalledLineSearchError, NoConvergenceError, DomainError,
                   InvalidInputError, OverflowError, ZeroDivisionError,
@@ -249,19 +255,32 @@ def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
 
     H is decomposed once per call.  Shifting by delta*h*I moves every
     eigenvalue by delta*h and leaves the eigenvectors alone, so each
-    candidate is tested on lambda(H) + delta*h at O(n) cost, and the
-    decomposition of A = H + delta*h*I is returned with H's eigenvectors
-    so the caller never recomputes it.  With ``floor=True`` the acceptance
-    bar is min |eig| >= min_gap/2 * h(grad_norm) (the spacing argument: of
-    any m+1 distinct shifts at most m can land an eigenvalue inside the
-    band, so some shift always clears it); otherwise it is the relative
-    EPS_SING_RTOL test.
+    candidate is tested on lambda(H) + delta*h at O(n) cost (see
+    ``_first_shift``), and the decomposition of A = H + delta*h*I is
+    returned with H's eigenvectors so the caller never recomputes it.
     """
     sched = sched or DeltaSchedule()
     hval = sched.h(grad_norm)
     dec_H = eigh(hessian)
-    lam_H = dec_H.eigenvalues.tolist()
+    delta, shift = _first_shift(dec_H.eigenvalues.tolist(), hval, sched, rng,
+                                floor)
+    lam = dec_H.eigenvalues + shift
+    lam.setflags(write=False)
+    return delta, SpectralDecomposition(lam, dec_H.eigenvectors)
 
+
+def _first_shift(lam, hval, sched, rng, floor):
+    """The first shift that clears the bar on eigenvalues ``lam``.
+
+    Returns (delta, delta*hval) for the first candidate delta: the
+    schedule's shifts in order, or fresh draws under
+    "random-per-iteration".  With ``floor`` the acceptance bar is
+    min |eig| >= min_gap/2 * hval (the spacing argument: of any m+1
+    distinct shifts at most m can land an eigenvalue inside the band, so
+    some shift always clears it); otherwise it is the relative
+    EPS_SING_RTOL test.  ``lam`` is a list of Python floats, and l + shift
+    has the bits of numpy's ``eigenvalues + shift``.
+    """
     if sched.selection == "random-per-iteration":
         if rng is None:
             rng = np.random.default_rng()
@@ -269,23 +288,62 @@ def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
         candidates = (float(rng.uniform(lo, hi))
                       for _ in range(_MAX_RANDOM_DRAWS))
     else:
-        candidates = iter(sched.deltas)
+        candidates = sched.deltas
 
     tried = []
     for delta in candidates:
         shift = delta * hval
-        amin, amax = _magnitude_range(lam_H, shift)
+        amin, amax = _magnitude_range(lam, shift)
         if floor:
             ok = amin > 0.0 and amin >= 0.5 * sched.min_gap * hval
         else:
             ok = amin > EPS_SING_RTOL * amax
         if ok:
-            lam = dec_H.eigenvalues + shift
-            lam.setflags(write=False)
-            return delta, SpectralDecomposition(lam, dec_H.eigenvectors)
+            return delta, shift
         tried.append(delta)
     raise NoValidDeltaError(
         f"no shift produced an invertible matrix (tried {tried})")
+
+
+def _direction(hessian, g, gn, sched=None, rng=None, floor=False,
+               newton=None):
+    """(delta, w): the direction of a Newton-type step and its shift.
+
+    Shifted (``newton`` None): w = |A|^-1 g with A = H + delta*h(gn)*I and
+    delta from ``_first_shift``.  Newton (``newton`` names the update for
+    the error message): delta is None and w = H^-1 g, after a test that
+    raises SingularMatrixError when min |eig| <= EPS_SING_RTOL * max |eig|.
+
+    A (2, 2) Hessian runs on Python floats: ``eigh_2x2`` reads it once,
+    the shift or the test runs on its two eigenvalues, and
+    ``reflect_apply_2x2`` builds w, the one array made.  Every quantity is
+    an elementwise float operation that numpy rounds as Python does, so w
+    has the bits of the array path, which every other shape takes:
+    ``select_delta`` (or ``eigh``) and ``reflect_inverse_apply``.
+    """
+    if hessian.shape != (2, 2):
+        if newton is None:
+            delta, dec = select_delta(hessian, gn, sched, rng, floor)
+            return delta, reflect_inverse_apply(dec, g)
+        dec = eigh(hessian)
+        _check_invertible(dec.eigenvalues.tolist(), newton)
+        return None, reflect_inverse_apply(dec, g, signed=True)
+    if newton is not None:
+        lam, V = eigh_2x2(hessian)
+        _check_invertible(lam, newton)
+        return None, reflect_apply_2x2(lam, V, g, signed=True)
+    sched = sched or DeltaSchedule()
+    hval = sched.h(gn)
+    lam, V = eigh_2x2(hessian)
+    delta, shift = _first_shift(lam, hval, sched, rng, floor)
+    return delta, reflect_apply_2x2([lam[0] + shift, lam[1] + shift], V, g)
+
+
+def _check_invertible(lam, update):
+    """Newton's singularity test on the eigenvalue list ``lam``."""
+    amin, amax = _magnitude_range(lam)
+    if amin <= EPS_SING_RTOL * amax:
+        raise SingularMatrixError(f"singular Hessian in {update} update")
 
 
 def _norm(v):
@@ -315,8 +373,7 @@ def _probe(obj, x):
 
 def nqn_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """One shifted-reflected-Newton update (see the step contract above)."""
-    delta, dec = select_delta(obj.hessian(x), gn, sched, rng)
-    w = reflect_inverse_apply(dec, g)
+    delta, w = _direction(obj.hessian(x), g, gn, sched, rng)
     return x - w, None, delta, _norm(w), 0
 
 
@@ -327,8 +384,7 @@ def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     f(x - beta*w) <= f(x) - beta/2 * <w, grad f> then guarantees descent.
     A probe at which f raises (a pole, an overflow) fails the test.
     """
-    delta, dec = select_delta(obj.hessian(x), gn, sched, rng, floor=True)
-    w = reflect_inverse_apply(dec, g)
+    delta, w = _direction(obj.hessian(x), g, gn, sched, rng, floor=True)
     wg = float(w @ g)            # nonnegative by construction
     beta = 1.0
     for halvings in range(_MAX_HALVINGS + 1):
@@ -348,14 +404,13 @@ def newton_step(obj, x, f, g, gn, sched=None, rng=None, state=None,
     With ``damped`` the step is scaled by a fresh uniform draw from (0, 2),
     returned as the step's delta.
     """
-    dec = eigh(obj.hessian(x))
-    amin, amax = _magnitude_range(dec.eigenvalues.tolist())
-    if amin <= EPS_SING_RTOL * amax:
-        raise SingularMatrixError(
-            f"singular Hessian in {'damped ' if damped else ''}Newton update")
-    damping = float(rng.uniform(0.0, 2.0)) if damped else 1.0
-    w = damping * reflect_inverse_apply(dec, g, signed=True)
-    return x - w, None, damping if damped else None, _norm(w), 0
+    _, w = _direction(obj.hessian(x), g, gn,
+                      newton="damped Newton" if damped else "Newton")
+    damping = None
+    if damped:
+        damping = float(rng.uniform(0.0, 2.0))
+        w = damping * w
+    return x - w, None, damping, _norm(w), 0
 
 
 def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):

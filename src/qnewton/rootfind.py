@@ -87,25 +87,30 @@ def mero_objective(m):
     t = conj(g)*g'': Hess f = [[2(s + Re t), -2 Im t], [-2 Im t, 2(s - Re t)]].
     Both follow from u_y = -v_x, v_y = u_x applied to f = u^2 + v^2.
 
-    The latest point's (g, g', g'') is kept, keyed by the bytes of x, so
-    the value, gradient and Hessian at one point call ``m.eval_all`` and
-    check for a pole once.  A point at which either raises keeps nothing.
+    The last two points' (g, g', g'') are kept, keyed by the bytes of x,
+    so the value, gradient and Hessian at one point call ``m.eval_all``
+    and check for a pole once.  Two, because a line search that rejects
+    its last probe steps to the probe before it: backtracking-gd's growth
+    stops at the first rejected learning rate.  A point at which either
+    raises keeps nothing.
     """
     return _mero_parts(m)[0]
 
 
 def _mero_parts(m):
     """(mero_objective(m), at): at(x) is the cached (g, g', g'') at x."""
-    key = vals = None
+    cache = {}          # bytes of x -> triple, the latest used last
 
     def at(x):
-        nonlocal key, vals
         k = x.tobytes()
-        if k != key:
+        vals = cache.pop(k, None)
+        if vals is None:
             z = complex(x[0], x[1])
-            v = m.eval_all(z)
-            _check_pole(m, z, v[0])
-            key, vals = k, v
+            vals = m.eval_all(z)
+            _check_pole(m, z, vals[0])
+            if len(cache) == 2:
+                del cache[next(iter(cache))]
+        cache[k] = vals
         return vals
 
     def value(x):

@@ -29,6 +29,13 @@ c_j = (E_0j g_0 + E_1j g_1) / |lambda_j| and w = E c, which skips numpy's
 per-call overhead on 2-element arrays; its result agrees with the array
 form E @ ((E.T @ g) / |lambda|) to within the rounding of those sums.
 Every other size uses the array form.
+
+The 2x2 pieces have one home each, on Python floats: ``eigh_2x2`` (the
+checks and the closed form) and ``reflect_apply_2x2`` (the apply).
+``eigh`` and ``reflect_inverse_apply`` wrap them at n = 2, with the same
+signatures and outputs as at every other size; the Newton-type steps of
+``optimizers`` call them directly on a 2-d problem, so no decomposition
+arrays are built between them.
 """
 
 import math
@@ -58,6 +65,10 @@ class SpectralDecomposition:
 # are: nothing can overflow, and anything that underflows is far below
 # eps * max|A|.  Outside it the matrix is scaled first.
 _SAFE_MIN, _SAFE_MAX = 2.0 ** -500, 2.0 ** 500
+
+_NON_FINITE = "matrix has non-finite entries"
+_ASYMMETRIC = "matrix is not exactly symmetric"
+_ZERO_EIGENVALUE = "matrix has a zero eigenvalue"
 
 
 def _diagonal2(a, d):
@@ -117,9 +128,10 @@ def eigh(A):
     """Decompose a symmetric matrix: closed form at n = 2, else LAPACK.
 
     This is the one validity check on a step's Hessian: ``Objective.hessian``
-    only evaluates, and every step decomposes what it returns here, so a
-    non-finite or asymmetric Hessian ends the run "numerical-error" with
-    the message of the InvalidInputError raised here.
+    only evaluates, and every step decomposes what it returns here (a 2x2
+    one in ``eigh_2x2``, which holds the n = 2 checks), so a non-finite or
+    asymmetric Hessian ends the run "numerical-error" with the message of
+    the InvalidInputError raised here.
 
     Parameters
     ----------
@@ -147,21 +159,12 @@ def eigh(A):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 2:
-        (a, b), (c, d) = A.tolist()
-        finite = (math.isfinite(a) and math.isfinite(b)
-                  and math.isfinite(c) and math.isfinite(d))
-        symmetric = b == c
+        lam, V = map(np.array, eigh_2x2(A))
     else:
-        finite = np.isfinite(A).all()
-        symmetric = (A == A.T).all()
-    if not finite:
-        raise InvalidInputError("matrix has non-finite entries")
-    if not symmetric:
-        raise InvalidInputError("matrix is not exactly symmetric")
-
-    if A.shape[0] == 2:
-        lam, V = map(np.array, _schur2(a, b, d))
-    else:
+        if not np.isfinite(A).all():
+            raise InvalidInputError(_NON_FINITE)
+        if not (A == A.T).all():
+            raise InvalidInputError(_ASYMMETRIC)
         try:
             lam, V = np.linalg.eigh(A)
         except np.linalg.LinAlgError as exc:
@@ -170,6 +173,23 @@ def eigh(A):
     lam.setflags(write=False)
     V.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
+
+
+def eigh_2x2(A):
+    """``eigh`` of a (2, 2) float array on Python floats, as two lists.
+
+    Reads A once with ``tolist``, checks it as ``eigh`` does (same
+    InvalidInputError messages) and returns ([l1, l2], [[v1x, v2x],
+    [v1y, v2y]]): the eigenvalues and eigenvector columns that ``eigh``
+    puts in its arrays.  The caller guarantees the shape.
+    """
+    (a, b), (c, d) = A.tolist()
+    if not (math.isfinite(a) and math.isfinite(b)
+            and math.isfinite(c) and math.isfinite(d)):
+        raise InvalidInputError(_NON_FINITE)
+    if b != c:
+        raise InvalidInputError(_ASYMMETRIC)
+    return _schur2(a, b, d)
 
 
 def reflect_inverse_apply(decomp, g, signed=False):
@@ -188,17 +208,28 @@ def reflect_inverse_apply(decomp, g, signed=False):
     lam = decomp.eigenvalues
     g = np.asarray(g, dtype=float)
     if lam.shape[0] == 2:
-        l0, l1 = lam.tolist()
-        if l0 == 0.0 or l1 == 0.0:
-            raise SingularMatrixError("matrix has a zero eigenvalue")
-        if not signed:
-            l0, l1 = abs(l0), abs(l1)
-        (e00, e01), (e10, e11) = decomp.eigenvectors.tolist()
-        g0, g1 = g.tolist()
-        c0 = (e00 * g0 + e10 * g1) / l0
-        c1 = (e01 * g0 + e11 * g1) / l1
-        return np.array([e00 * c0 + e01 * c1, e10 * c0 + e11 * c1])
+        return reflect_apply_2x2(lam.tolist(), decomp.eigenvectors.tolist(), g,
+                                 signed)
     if (lam == 0.0).any():
-        raise SingularMatrixError("matrix has a zero eigenvalue")
+        raise SingularMatrixError(_ZERO_EIGENVALUE)
     E = decomp.eigenvectors
     return E @ ((E.T @ g) / (lam if signed else np.abs(lam)))
+
+
+def reflect_apply_2x2(lam, V, g, signed=False):
+    """``reflect_inverse_apply`` on two eigenpairs given as Python floats.
+
+    ``lam`` is [l1, l2] and ``V`` the eigenvector columns as nested lists,
+    as ``eigh_2x2`` returns them; g is a float array of two entries.  The
+    result w is the one array built.
+    """
+    l0, l1 = lam
+    if l0 == 0.0 or l1 == 0.0:
+        raise SingularMatrixError(_ZERO_EIGENVALUE)
+    if not signed:
+        l0, l1 = abs(l0), abs(l1)
+    (e00, e01), (e10, e11) = V
+    g0, g1 = g.tolist()
+    c0 = (e00 * g0 + e10 * g1) / l0
+    c1 = (e01 * g0 + e11 * g1) / l1
+    return np.array([e00 * c0 + e01 * c1, e10 * c0 + e11 * c1])

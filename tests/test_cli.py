@@ -144,6 +144,18 @@ def test_minimize_runs_stochastic_griewank_as_compare_does(tmp_path, capsys):
     assert json.loads((tmp_path / "m.json").read_text())["iterations"] == 5
 
 
+@pytest.mark.parametrize("command", ["minimize", "compare"])
+def test_stochastic_griewank_without_x0_asks_for_one(command, tmp_path,
+                                                     capsys):
+    code = run_cli([command, "--function", "stochastic-griewank",
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: stochastic-griewank has no registered start point; "
+        "pass --x0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_minimize_undefined_start_exits_2(tmp_path, capsys):
     # ex11 is undefined at 0: the run itself rejects the start
     code = run_cli(["minimize", "--function", "ex11", "--x0", "0",

@@ -12,19 +12,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qnewton.errors import DomainError, InvalidInputError, NoValidDeltaError
-from qnewton.objectives import (Objective, make_benchmark,
+from qnewton import optimizers
+from qnewton.errors import (DomainError, InvalidInputError, NoValidDeltaError,
+                            QNewtonError, SingularMatrixError)
+from qnewton.objectives import (Objective, default_start, make_benchmark,
                                 make_stochastic_griewank,
                                 sample_batch_objective)
-from qnewton.optimizers import (METHODS, X_DIVERGENCE_CAP, DeltaSchedule,
-                                IterationRecord, StopCriteria, Trace,
-                                _classify, _write_utf8,
+from qnewton.optimizers import (EPS_SING_RTOL, METHODS, X_DIVERGENCE_CAP,
+                                DeltaSchedule, IterationRecord, StopCriteria,
+                                Trace, _classify, _direction, _write_utf8,
                                 backtracking_gd_step, newton_step,
                                 nqn_backtracking_step, nqn_step, run,
                                 select_delta)
 from qnewton.fixtures import ROOT_STARTS, ROSENBROCK2_X0
 from qnewton.rootfind import builtin, find_root
-from qnewton.spectral import eigh
+from qnewton.spectral import (SpectralDecomposition, eigh, reflect_apply_2x2,
+                              reflect_inverse_apply)
 
 
 def quadratic_1d():
@@ -233,6 +236,161 @@ def test_select_delta_shifted_spectrum_matches_direct_decomposition():
         assert np.all(np.diff(lam) >= 0)
         assert np.max(np.abs(lam - eigh(A).eigenvalues)) <= 1e-12 * scale
         assert np.max(np.abs((V * lam) @ V.T - A)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the 2-d step kernel gives the bits of the array chain
+# ---------------------------------------------------------------------------
+
+def array_direction(hessian, g, gn, sched=None, rng=None, floor=False,
+                    newton=None):
+    """_direction without its (2, 2) branch: select_delta and
+    reflect_inverse_apply, or eigh, the singularity test and the signed
+    reflect."""
+    if newton is None:
+        delta, dec = select_delta(hessian, gn, sched, rng, floor)
+        return delta, reflect_inverse_apply(dec, g)
+    dec = eigh(hessian)
+    mags = np.abs(dec.eigenvalues)
+    if mags.min() <= EPS_SING_RTOL * mags.max():
+        raise SingularMatrixError(f"singular Hessian in {newton} update")
+    return None, reflect_inverse_apply(dec, g, signed=True)
+
+
+def direction_outcome(direction, H, g, sched, mode):
+    """(delta, bits of w) or (exception class, message), and the state of
+    the seeded Generator afterwards, which shows the draws made."""
+    rng = np.random.default_rng(5)
+    kwargs = ({"newton": "Newton"} if mode == "newton"
+              else {"floor": mode == "floor"})
+    try:
+        delta, w = direction(H, g, float(np.linalg.norm(g)), sched, rng,
+                             **kwargs)
+        out = (delta, w.dtype, w.shape, w.tobytes())
+    except QNewtonError as exc:
+        out = (type(exc), str(exc))
+    return out, rng.bit_generator.state
+
+
+def seeded_2x2_cases():
+    rng = np.random.default_rng(19)
+    cases = [(c * np.diag([1.0, 0.0]), np.array([c * 1e-3, 0.0]))
+             for c in (1.0, 1e-8, 1e14)]
+    cases += [(np.array(H), np.array(g)) for H, g in [
+        ([[0.0, 1.0], [1.0, 0.0]], [0.3, -0.7]),
+        ([[2.0, -3.0], [-3.0, 2.0]], [1.0, -1.0]),
+        ([[1e-300, 0.0], [0.0, -1e300]], [1e-10, 1e10]),
+        ([[-1.0, 0.0], [0.0, -2.0]], [4.0, 5.0]),
+        ([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+    ]]
+    for _ in range(150):
+        B = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-8, 8)
+        cases.append((0.5 * (B + B.T),
+                      rng.normal(size=2) * 10.0 ** rng.uniform(-6, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["shift", "floor", "newton"])
+@pytest.mark.parametrize("sched", [
+    DeltaSchedule(), DeltaSchedule(h_mode="power"),
+    DeltaSchedule(selection="random-per-iteration")],
+    ids=["sequential", "power", "random"])
+def test_2x2_direction_matches_the_array_chain(mode, sched, monkeypatch):
+    cases = seeded_2x2_cases()
+    want = [direction_outcome(array_direction, H, g, sched, mode)
+            for H, g in cases]
+
+    def absent(*args, **kwargs):
+        raise AssertionError("the 2-d kernel called the array chain")
+
+    for name in ("eigh", "select_delta", "reflect_inverse_apply"):
+        monkeypatch.setattr(optimizers, name, absent)
+    got = [direction_outcome(_direction, H, g, sched, mode)
+           for H, g in cases]
+    assert got == want
+    assert sum(len(out) == 4 for out, _ in got) > 100      # steps, not errors
+
+
+@pytest.mark.parametrize("H, mode, sched, error, message", [
+    ([[np.nan, 0.0], [0.0, 1.0]], "shift", None, InvalidInputError,
+     "matrix has non-finite entries"),
+    ([[1.0, np.inf], [np.inf, 1.0]], "newton", None, InvalidInputError,
+     "matrix has non-finite entries"),
+    ([[1.0, 2.0], [3.0, 1.0]], "floor", None, InvalidInputError,
+     "matrix is not exactly symmetric"),
+    ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0]], "shift", None, InvalidInputError,
+     "expected a square matrix, got shape (2, 3)"),
+    ([[1.0, 0.0], [0.0, 0.0]], "newton", None, SingularMatrixError,
+     "singular Hessian in Newton update"),
+    ([[1e-8, 0.0], [0.0, 0.0]], "shift", None, NoValidDeltaError,
+     "no shift produced an invertible matrix (tried [0.0, 1.0, -1.0])"),
+    ([[0.0, 0.0], [0.0, 1e15]], "floor", DeltaSchedule(deltas=(0.0,)),
+     NoValidDeltaError,
+     "no shift produced an invertible matrix (tried [0.0])"),
+])
+def test_2x2_direction_rejects_as_the_array_chain(H, mode, sched, error,
+                                                   message):
+    g = np.array([1e-11, 0.0])
+    sched = sched or DeltaSchedule()
+    for direction in (_direction, array_direction):
+        out, _ = direction_outcome(direction, np.array(H), g, sched, mode)
+        assert out == (error, message)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_2x2_apply_rejects_a_zero_eigenvalue(signed):
+    g = np.array([1.0, 1.0])
+    V = [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
+        reflect_apply_2x2([-2.0, 0.0], V, g, signed)
+    dec = SpectralDecomposition(np.array([-2.0, 0.0]), np.array(V))
+    with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
+        reflect_inverse_apply(dec, g, signed)
+
+
+def rosenbrock2_grid_starts(seed=1, k=4, lo=-2.0, hi=2.0):
+    """One jittered start per cell of a k x k grid over the box."""
+    cells = np.array([(i, j) for i in range(k) for j in range(k)],
+                     dtype=float)
+    jitter = np.random.default_rng(seed).uniform(size=cells.shape)
+    return lo + (hi - lo) * (cells + jitter) / k
+
+
+def record_bits(trace):
+    """Every field of every record but wall_ns, with the outcome."""
+    return [(r.index, r.x.tobytes(),
+             np.array([r.f, r.grad_norm, r.step_norm]).tobytes(),
+             None if r.delta_used is None
+             else np.float64(r.delta_used).tobytes(), r.ls_backtracks)
+            for r in trace.records], trace.termination, trace.error_class
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # random shifts
+@pytest.mark.parametrize("method, selection", [
+    ("nqn", "sequential"), ("nqn", "random-per-iteration"),
+    ("nqn-backtracking", "sequential"), ("newton", "sequential"),
+    ("random-damping-newton", "sequential")])
+def test_2d_runs_match_runs_without_the_kernel(method, selection,
+                                               monkeypatch):
+    sched = DeltaSchedule(selection=selection)
+    stop = StopCriteria(max_iter=50)
+    minimizations = [(make_benchmark("rosenbrock", 2), x0)
+                     for x0 in rosenbrock2_grid_starts()]
+    minimizations += [(make_benchmark(e), default_start(e))
+                      for e in ("ex12", "ex13", "ex19", "ex21", "ex23")]
+
+    def all_runs():
+        traces = [run(method, obj, x0, sched=sched, stop=stop, seed=3)
+                  for obj, x0 in minimizations]
+        traces += [find_root(builtin(key.split("-")[0]), z0, method=method,
+                             sched=sched, stop=StopCriteria(max_iter=200),
+                             seed=3).trace
+                   for key, z0 in ROOT_STARTS.items()]
+        return [record_bits(t) for t in traces]
+
+    with_kernel = all_runs()
+    monkeypatch.setattr(optimizers, "_direction", array_direction)
+    assert all_runs() == with_kernel
 
 
 # ---------------------------------------------------------------------------

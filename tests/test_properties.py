@@ -11,7 +11,7 @@ from qnewton.optimizers import _norm
 from qnewton.rootfind import builtin, mero_objective
 
 # ---------------------------------------------------------------------------
-# mero_objective keeps the latest point's triple: its value, gradient and
+# mero_objective keeps the last two points' triples: its value, gradient and
 # Hessian equal a fresh objective's
 # ---------------------------------------------------------------------------
 
@@ -38,7 +38,7 @@ def _outcome(fn, x):
          calls=[(0, 0), (1, 1), (0, 1), (1, 2), (1, 1)])
 def test_cached_derivatives_match_a_fresh_builder(name, pool, calls):
     # repeated points, the Hessian before the value, and alternating points
-    # all hit or miss the one-entry cache in different orders
+    # all hit or miss the two-entry cache in different orders
     obj = mero_objective(builtin(name))
     for i, which in calls:
         x = pool[i % len(pool)]
@@ -162,7 +162,10 @@ def _reflect_apply_array(dec, g, signed):
 @example(A=np.array([[1e-300, 0.0], [0.0, -1e300]]),
          g=np.array([1e-10, 1e10]), signed=True)
 def test_reflect_inverse_apply_2x2_matches_the_array_form(A, g, signed):
-    from qnewton.spectral import eigh, reflect_inverse_apply
+    # the step kernel's helper on eigh_2x2's lists, and the public apply
+    # that wraps it, against the array form
+    from qnewton.spectral import (eigh, eigh_2x2, reflect_apply_2x2,
+                                  reflect_inverse_apply)
     dec = eigh(A)
     assume((dec.eigenvalues != 0.0).all())
     with np.errstate(all="ignore"):
@@ -172,6 +175,10 @@ def test_reflect_inverse_apply_2x2_matches_the_array_form(A, g, signed):
         bound = APPLY2_RTOL * EPS * (
             E @ ((E.T @ np.abs(g)) / np.abs(dec.eigenvalues)))
     assume(np.isfinite(want).all())
-    w = reflect_inverse_apply(dec, g, signed=signed)
+    lam, V = eigh_2x2(A)
+    assert (lam, V) == (dec.eigenvalues.tolist(), dec.eigenvectors.tolist())
+    w = reflect_apply_2x2(lam, V, g, signed)
     assert w.dtype == np.float64 and w.shape == (2,)
     assert np.all(np.abs(w - want) <= bound)
+    assert reflect_inverse_apply(dec, g, signed=signed).tobytes() \
+        == w.tobytes()

@@ -404,11 +404,14 @@ def test_builtin_triple_runs_once_per_point(name, method):
     assert calls == 1
 
 
-def counted_quadratic(counts):
-    """z^2 + 1 by hand, with each call of g, g' and g'' counted."""
+def counted_quadratic(counts, points=None):
+    """z^2 + 1 by hand, with each call of g, g' and g'' counted (and each
+    point g is called at added to ``points``, when given)."""
     def counted(key, fn):
         def call(z):
             counts[key] += 1
+            if key == "g" and points is not None:
+                points.add(z)
             return fn(z)
         return call
 
@@ -427,20 +430,26 @@ def test_hand_built_mero_is_called_as_given():
     assert counts == {"g": 1, "g1": 1, "g2": 1}
 
 
-@pytest.mark.parametrize("method", ["nqn", "nqn-backtracking"])
+@pytest.mark.parametrize("method",
+                         ["nqn", "nqn-backtracking", "backtracking-gd"])
 def test_hand_built_mero_runs_once_per_point(method):
     counts = {"g": 0, "g1": 0, "g2": 0}
-    res = find_root(counted_quadratic(counts), 0.5 + 0.5j, method=method)
+    points = set()
+    res = find_root(counted_quadratic(counts, points), 0.5 + 0.5j,
+                    method=method)
     assert res.classification == "root-of-g"
     records = res.trace.records
     assert len({rec.x.tobytes() for rec in records}) == len(records)
     # each iterate and each rejected line-search probe is one point; the
-    # accepted probe is the next iterate, and the classification reads the
-    # last iterate's triple from the cache
-    probes = sum(rec.ls_backtracks for rec in records)
-    assert (probes > 0) == (method == "nqn-backtracking")
-    n = len(records) + probes
+    # accepted probe is the next iterate, even when a rejected one came
+    # after it, and the classification reads the last iterate's triple
+    # from the cache
+    n = len(points)
     assert counts == {"g": n, "g1": n, "g2": n}
+    if method != "backtracking-gd":     # whose growth probes no record counts
+        probes = sum(rec.ls_backtracks for rec in records)
+        assert (probes > 0) == (method == "nqn-backtracking")
+        assert n == len(records) + probes
 
 
 def test_end_point_off_the_cache_is_evaluated_again(monkeypatch):
@@ -448,15 +457,16 @@ def test_end_point_off_the_cache_is_evaluated_again(monkeypatch):
 
     def run_then_move(method, obj, x0, **kwargs):
         trace = real_run(method, obj, x0, **kwargs)
-        obj.value(trace.final_x + 1.0)      # the cache now holds another point
+        obj.value(trace.final_x + 1.0)      # the cache now holds two other
+        obj.value(trace.final_x + 2.0)      # points
         return trace
 
     monkeypatch.setattr(rootfind, "run", run_then_move)
     counts = {"g": 0, "g1": 0, "g2": 0}
     res = find_root(counted_quadratic(counts), 0.5 + 0.5j)
     assert res.classification == "root-of-g"
-    # every iterate, the moved-to point, and the end point once more
-    n = len(res.trace.records) + 2
+    # every iterate, the two moved-to points, and the end point once more
+    n = len(res.trace.records) + 3
     assert counts == {"g": n, "g1": n, "g2": n}
 
 
