@@ -13,10 +13,11 @@ buys monotone function values), classical Newton, randomly damped Newton,
 and a two-way backtracking gradient descent, all driven by one loop with a
 shared trace format.
 
-The four Newton-type steps share one direction helper, ``_direction``,
-which runs a 2-d step on Python floats with no decomposition arrays and
-every other size through the public ``select_delta`` (or ``eigh``) and
-``reflect_inverse_apply``, which are unchanged; both give the same bits.
+The four Newton-type steps share one direction helper, ``_direction``: it
+decomposes the Hessian with ``spectral.eigenpairs``, picks the shift (or
+runs Newton's singularity test) on the eigenvalue list, and applies the
+reflected inverse with ``spectral.reflect_apply``, the same three calls at
+every size.  ``select_delta`` is the shift choice in its public form.
 """
 
 import json
@@ -35,14 +36,17 @@ from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      StalledLineSearchError)
 from .objectives.base import as_integer
 from .objectives.stochastic import StochasticObjective, sample_batch_objective
-from .spectral import (SpectralDecomposition, eigh, eigh_2x2,
-                       reflect_apply_2x2, reflect_inverse_apply)
+# No step calls reflect_inverse_apply, but perfbench's tracer reads it, like
+# eigh, select_delta and sample_batch_objective, from this module's
+# namespace, so the import stays.
+from .spectral import (SpectralDecomposition, eigenpairs, eigh,  # noqa: F401
+                       reflect_apply, reflect_inverse_apply)
 
 # Step failures that end a run with a "numerical-error" status instead of
 # propagating: everything that floating-point evaluation or the update rule
 # can legitimately hit at a bad point.  Inside the loop InvalidInputError
-# comes from eigh alone (eigh_2x2 on a 2-d problem), the one check that the
-# step's Hessian is finite and exactly symmetric.
+# comes from eigenpairs alone, the one check that the step's Hessian is
+# finite and exactly symmetric.
 _STEP_FAILURES = (NoValidDeltaError, SingularMatrixError,
                   StalledLineSearchError, NoConvergenceError, DomainError,
                   InvalidInputError, OverflowError, ZeroDivisionError,
@@ -147,12 +151,13 @@ class StopCriteria:
         if max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
         object.__setattr__(self, "max_iter", max_iter)
+        # NaN fails v >= 0 too: as a tolerance it would switch its test off
         try:
-            negative = min(self.grad_tol, self.step_tol,
-                           self.f_divergence_cap) < 0
+            valid = all(v >= 0 for v in (self.grad_tol, self.step_tol,
+                                         self.f_divergence_cap))
         except TypeError as exc:
             raise InvalidInputError(f"malformed stop criteria: {exc}") from exc
-        if negative:
+        if not valid:
             raise InvalidInputError("tolerances must be nonnegative")
 
 
@@ -314,29 +319,19 @@ def _direction(hessian, g, gn, sched=None, rng=None, floor=False,
     the error message): delta is None and w = H^-1 g, after a test that
     raises SingularMatrixError when min |eig| <= EPS_SING_RTOL * max |eig|.
 
-    A (2, 2) Hessian runs on Python floats: ``eigh_2x2`` reads it once,
-    the shift or the test runs on its two eigenvalues, and
-    ``reflect_apply_2x2`` builds w, the one array made.  Every quantity is
-    an elementwise float operation that numpy rounds as Python does, so w
-    has the bits of the array path, which every other shape takes:
-    ``select_delta`` (or ``eigh``) and ``reflect_inverse_apply``.
+    The shift runs on the eigenvalue list and the eigenvectors pass
+    through unchanged, so w has the bits of ``select_delta`` (or ``eigh``)
+    followed by ``reflect_inverse_apply``, without their arrays.
     """
-    if hessian.shape != (2, 2):
-        if newton is None:
-            delta, dec = select_delta(hessian, gn, sched, rng, floor)
-            return delta, reflect_inverse_apply(dec, g)
-        dec = eigh(hessian)
-        _check_invertible(dec.eigenvalues.tolist(), newton)
-        return None, reflect_inverse_apply(dec, g, signed=True)
     if newton is not None:
-        lam, V = eigh_2x2(hessian)
+        lam, V = eigenpairs(hessian)
         _check_invertible(lam, newton)
-        return None, reflect_apply_2x2(lam, V, g, signed=True)
+        return None, reflect_apply(lam, V, g, signed=True)
     sched = sched or DeltaSchedule()
-    hval = sched.h(gn)
-    lam, V = eigh_2x2(hessian)
+    hval = sched.h(gn)          # before decomposing, as in select_delta
+    lam, V = eigenpairs(hessian)
     delta, shift = _first_shift(lam, hval, sched, rng, floor)
-    return delta, reflect_apply_2x2([lam[0] + shift, lam[1] + shift], V, g)
+    return delta, reflect_apply([v + shift for v in lam], V, g)
 
 
 def _check_invertible(lam, update):

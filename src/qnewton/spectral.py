@@ -1,22 +1,27 @@
 """Symmetric eigendecomposition and spectral-reflection arithmetic.
 
-A 2x2 matrix is decomposed in closed form by one Jacobi rotation, the
-symmetric Schur decomposition (Golub & Van Loan, *Matrix Computations*,
-4th ed., Alg. 8.5.1), on Python floats; a matrix with entries near
-overflow or in the subnormal range is scaled by a power of two first, so
-it keeps its accuracy.  Its eigenvalues are within 8*eps*max|A| of
-LAPACK's (plus the spacing of the subnormal grid), and its eigenvectors
-are orthonormal to 8*eps, each with its largest-magnitude component
-nonnegative (the first one on a tie).  Every other size goes through
-LAPACK's divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh`` calls
-it and keeps LAPACK's signs.  No result reads a sign: the one reader of
-eigenvectors, ``reflect_inverse_apply``, uses each e_i twice and negation
-is exact, so flipping a column leaves its output unchanged bit for bit.
-Eigenvalues are ascending, and for identical input and a fixed BLAS
-thread count the output is deterministic bit for bit, so runs replay
-exactly.
+Two helpers carry every size: ``eigenpairs`` decomposes a matrix and
+``reflect_apply`` applies the reflected inverse.  They are the only two
+places that tell n = 2 apart, and both run it on Python floats, which skips
+numpy's per-call overhead on 2-element arrays.
 
-``reflect_inverse_apply`` implements the core update arithmetic: given the
+``eigenpairs`` checks its input and returns the eigenvalues, ascending, as
+a list of Python floats.  A 2x2 matrix is decomposed in closed form by one
+Jacobi rotation, the symmetric Schur decomposition (Golub & Van Loan,
+*Matrix Computations*, 4th ed., Alg. 8.5.1); a matrix with entries near
+overflow or in the subnormal range is scaled by a power of two first, so it
+keeps its accuracy.  Its eigenvalues are within 8*eps*max|A| of LAPACK's
+(plus the spacing of the subnormal grid), and its eigenvectors, nested
+lists of columns, are orthonormal to 8*eps, each with its largest-magnitude
+component nonnegative (the first one on a tie).  Every other size goes
+through LAPACK's divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh``
+calls it and keeps LAPACK's eigenvector array and signs.  No result reads a
+sign: ``reflect_apply`` uses each e_i twice and negation is exact, so
+flipping a column leaves its output unchanged bit for bit.  For identical
+input and a fixed BLAS thread count the output is deterministic bit for
+bit, so runs replay exactly.
+
+``reflect_apply`` implements the core update arithmetic: given the
 eigenpairs of an invertible symmetric A and a vector g, it returns
 
     w = sum_i (<e_i, g> / |lambda_i|) e_i
@@ -24,18 +29,16 @@ eigenpairs of an invertible symmetric A and a vector g, it returns
 i.e. |A|^-1 g, the inverse applied after reflecting negative eigenvalues to
 positive.  Equivalently w = pr+(A^-1 g) - pr-(A^-1 g).  With
 ``signed=True`` it divides by lambda_i itself, which is the Newton step
-A^-1 g.  With two eigenpairs it also runs on Python floats, as
-c_j = (E_0j g_0 + E_1j g_1) / |lambda_j| and w = E c, which skips numpy's
-per-call overhead on 2-element arrays; its result agrees with the array
-form E @ ((E.T @ g) / |lambda|) to within the rounding of those sums.
-Every other size uses the array form.
+A^-1 g.  With two eigenpairs it computes c_j = (E_0j g_0 + E_1j g_1) /
+|lambda_j| and w = E c on floats, which agrees with the array form
+E @ ((E.T @ g) / |lambda|) of every other size to within the rounding of
+those sums.  A shift of A by s*I moves every eigenvalue by s and keeps the
+eigenvectors, and l + s on a Python float rounds as numpy's
+``eigenvalues + s`` does, so a shifted matrix is applied from the list
+``[l + s for l in lam]``.
 
-The 2x2 pieces have one home each, on Python floats: ``eigh_2x2`` (the
-checks and the closed form) and ``reflect_apply_2x2`` (the apply).
-``eigh`` and ``reflect_inverse_apply`` wrap them at n = 2, with the same
-signatures and outputs as at every other size; the Newton-type steps of
-``optimizers`` call them directly on a 2-d problem, so no decomposition
-arrays are built between them.
+``eigh`` and ``reflect_inverse_apply`` are the public forms of the two
+helpers, on read-only arrays in a ``SpectralDecomposition``.
 """
 
 import math
@@ -124,14 +127,13 @@ def _schur2(a, b, d):
     return [l1 * up1 * up2, l2 * up1 * up2], V
 
 
-def eigh(A):
-    """Decompose a symmetric matrix: closed form at n = 2, else LAPACK.
+def eigenpairs(A):
+    """Checked eigenpairs of a symmetric matrix, as (lam, V).
 
     This is the one validity check on a step's Hessian: ``Objective.hessian``
-    only evaluates, and every step decomposes what it returns here (a 2x2
-    one in ``eigh_2x2``, which holds the n = 2 checks), so a non-finite or
-    asymmetric Hessian ends the run "numerical-error" with the message of
-    the InvalidInputError raised here.
+    only evaluates, and every step decomposes what it returns here, so a
+    non-finite or asymmetric Hessian ends the run "numerical-error" with
+    the message of the InvalidInputError raised here.
 
     Parameters
     ----------
@@ -141,12 +143,11 @@ def eigh(A):
 
     Returns
     -------
-    SpectralDecomposition
-        Ascending eigenvalues and orthonormal eigenvectors, read-only and
-        deterministic for identical input with the BLAS thread count fixed.
-        At n = 2 each eigenvector's largest-magnitude component is >= 0 (the
-        first on ties); other sizes keep LAPACK's signs, which no result
-        reads (see above).  An eigenvalue beyond the float range is +-inf.
+    lam : list of float
+        The eigenvalues, ascending.  One beyond the float range is +-inf.
+    V : nested lists or (n, n) ndarray
+        The eigenvectors as columns: ``[[v1x, v2x], [v1y, v2y]]`` from the
+        closed form at n = 2, LAPACK's array otherwise.
 
     Raises
     ------
@@ -156,48 +157,46 @@ def eigh(A):
         LAPACK reported that the decomposition did not converge.
     """
     A = np.asarray(A, dtype=float)
+    if A.shape == (2, 2):
+        (a, b), (c, d) = A.tolist()
+        if not (math.isfinite(a) and math.isfinite(b)
+                and math.isfinite(c) and math.isfinite(d)):
+            raise InvalidInputError(_NON_FINITE)
+        if b != c:
+            raise InvalidInputError(_ASYMMETRIC)
+        return _schur2(a, b, d)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] == 2:
-        lam, V = map(np.array, eigh_2x2(A))
-    else:
-        if not np.isfinite(A).all():
-            raise InvalidInputError(_NON_FINITE)
-        if not (A == A.T).all():
-            raise InvalidInputError(_ASYMMETRIC)
-        try:
-            lam, V = np.linalg.eigh(A)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(
-                f"eigendecomposition failed: {exc}") from exc
+    if not np.isfinite(A).all():
+        raise InvalidInputError(_NON_FINITE)
+    if not (A == A.T).all():
+        raise InvalidInputError(_ASYMMETRIC)
+    try:
+        lam, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    return lam.tolist(), V
+
+
+def eigh(A):
+    """``eigenpairs`` as a SpectralDecomposition of read-only arrays, with
+    the same checks and errors."""
+    lam, V = eigenpairs(A)
+    lam, V = np.array(lam), np.asarray(V)
     lam.setflags(write=False)
     V.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
 
 
-def eigh_2x2(A):
-    """``eigh`` of a (2, 2) float array on Python floats, as two lists.
+def reflect_apply(lam, V, g, signed=False):
+    """Apply |A|^-1 to g from the eigenpairs of A (A^-1 if ``signed``).
 
-    Reads A once with ``tolist``, checks it as ``eigh`` does (same
-    InvalidInputError messages) and returns ([l1, l2], [[v1x, v2x],
-    [v1y, v2y]]): the eigenvalues and eigenvector columns that ``eigh``
-    puts in its arrays.  The caller guarantees the shape.
-    """
-    (a, b), (c, d) = A.tolist()
-    if not (math.isfinite(a) and math.isfinite(b)
-            and math.isfinite(c) and math.isfinite(d)):
-        raise InvalidInputError(_NON_FINITE)
-    if b != c:
-        raise InvalidInputError(_ASYMMETRIC)
-    return _schur2(a, b, d)
-
-
-def reflect_inverse_apply(decomp, g, signed=False):
-    """Apply |A|^-1 to g using the decomposition of A (A^-1 if ``signed``).
-
-    Returns w with <w, g> >= 0 and ||w|| = ||A^-1 g||.  Positive-eigenvalue
-    components of A^-1 g are kept, negative-eigenvalue components have their
-    sign flipped.  With ``signed=True`` nothing is flipped: w = A^-1 g.
+    ``lam`` is the eigenvalue list and ``V`` the eigenvectors, as
+    ``eigenpairs`` returns them or as an array; g is a float array.
+    Returns w with <w, g> >= 0 and ||w|| = ||A^-1 g||: positive-eigenvalue
+    components of A^-1 g are kept, negative-eigenvalue components have
+    their sign flipped.  With ``signed=True`` nothing is flipped:
+    w = A^-1 g.
 
     Raises
     ------
@@ -205,31 +204,20 @@ def reflect_inverse_apply(decomp, g, signed=False):
         If any eigenvalue is exactly zero (the caller's delta selection is
         responsible for never letting that happen).
     """
-    lam = decomp.eigenvalues
-    g = np.asarray(g, dtype=float)
-    if lam.shape[0] == 2:
-        return reflect_apply_2x2(lam.tolist(), decomp.eigenvectors.tolist(), g,
-                                 signed)
-    if (lam == 0.0).any():
+    if 0.0 in lam:
         raise SingularMatrixError(_ZERO_EIGENVALUE)
-    E = decomp.eigenvectors
-    return E @ ((E.T @ g) / (lam if signed else np.abs(lam)))
+    if len(lam) == 2:
+        l0, l1 = lam if signed else (abs(lam[0]), abs(lam[1]))
+        (e00, e01), (e10, e11) = V
+        g0, g1 = g.tolist()
+        c0 = (e00 * g0 + e10 * g1) / l0
+        c1 = (e01 * g0 + e11 * g1) / l1
+        return np.array([e00 * c0 + e01 * c1, e10 * c0 + e11 * c1])
+    lam = np.array(lam)
+    return V @ ((V.T @ g) / (lam if signed else np.abs(lam)))
 
 
-def reflect_apply_2x2(lam, V, g, signed=False):
-    """``reflect_inverse_apply`` on two eigenpairs given as Python floats.
-
-    ``lam`` is [l1, l2] and ``V`` the eigenvector columns as nested lists,
-    as ``eigh_2x2`` returns them; g is a float array of two entries.  The
-    result w is the one array built.
-    """
-    l0, l1 = lam
-    if l0 == 0.0 or l1 == 0.0:
-        raise SingularMatrixError(_ZERO_EIGENVALUE)
-    if not signed:
-        l0, l1 = abs(l0), abs(l1)
-    (e00, e01), (e10, e11) = V
-    g0, g1 = g.tolist()
-    c0 = (e00 * g0 + e10 * g1) / l0
-    c1 = (e01 * g0 + e11 * g1) / l1
-    return np.array([e00 * c0 + e01 * c1, e10 * c0 + e11 * c1])
+def reflect_inverse_apply(decomp, g, signed=False):
+    """``reflect_apply`` on a SpectralDecomposition; g may be array_like."""
+    return reflect_apply(decomp.eigenvalues.tolist(), decomp.eigenvectors,
+                         np.asarray(g, dtype=float), signed)

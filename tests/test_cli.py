@@ -156,6 +156,18 @@ def test_stochastic_griewank_without_x0_asks_for_one(command, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--function", "rosenbrock", "--x0=-1.2,1", "--gtol", "nan"],
+    ["minimize", "--function", "rosenbrock", "--x0=-1.2,1", "--xtol", "nan"],
+    ["compare", "--function", "rosenbrock", "--x0=-1.2,1", "--gtol", "nan"],
+])
+def test_nan_tolerance_exits_2(argv, tmp_path, capsys):
+    # a NaN tolerance would switch its stopping test off
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: tolerances must be nonnegative\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_minimize_undefined_start_exits_2(tmp_path, capsys):
     # ex11 is undefined at 0: the run itself rejects the start
     code = run_cli(["minimize", "--function", "ex11", "--x0", "0",
@@ -239,6 +251,7 @@ def test_compare_spec_file(tmp_path, capsys):
     {"objective": "protein", "params": {"sequence": "ABBBA", "seq": "B"},
      "initial_points": [[0.5] * 3]},
     {"initial_points": {"count": 2.5, "seed": 1}},
+    {"stop": {"grad_tol": float("nan")}},
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},

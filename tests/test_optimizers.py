@@ -2,11 +2,13 @@
 
 import csv
 import errno
+import importlib.util
 import json
 import os
 import stat
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from qnewton.optimizers import (EPS_SING_RTOL, METHODS, X_DIVERGENCE_CAP,
                                 backtracking_gd_step, newton_step,
                                 nqn_backtracking_step, nqn_step, run,
                                 select_delta)
-from qnewton.fixtures import ROOT_STARTS, ROSENBROCK2_X0
+from qnewton.fixtures import (ABBBA_STARTS, GRIEWANK15_X0, ROOT_STARTS,
+                              ROSENBROCK2_X0, ROSENBROCK30_X0)
 from qnewton.rootfind import builtin, find_root
-from qnewton.spectral import (SpectralDecomposition, eigh, reflect_apply_2x2,
+from qnewton.spectral import (SpectralDecomposition, eigh, reflect_apply,
                               reflect_inverse_apply)
 
 
@@ -110,6 +113,12 @@ def test_stop_criteria_validation():
         StopCriteria(max_iter=0)
     with pytest.raises(InvalidInputError):
         StopCriteria(grad_tol=-1e-3)
+    for key in ("grad_tol", "step_tol", "f_divergence_cap"):
+        with pytest.raises(InvalidInputError,
+                           match="^tolerances must be nonnegative$"):
+            StopCriteria(**{key: float("nan")})
+    assert StopCriteria(f_divergence_cap=float("inf")).f_divergence_cap \
+        == float("inf")
     with pytest.raises(InvalidInputError):
         StopCriteria(max_iter="ten")
     for bad in (2.5, 3.0, True, None):
@@ -239,12 +248,12 @@ def test_select_delta_shifted_spectrum_matches_direct_decomposition():
 
 
 # ---------------------------------------------------------------------------
-# the 2-d step kernel gives the bits of the array chain
+# the step's direction gives the bits of the public wrappers at every size
 # ---------------------------------------------------------------------------
 
 def array_direction(hessian, g, gn, sched=None, rng=None, floor=False,
                     newton=None):
-    """_direction without its (2, 2) branch: select_delta and
+    """_direction through the public wrappers on arrays: select_delta and
     reflect_inverse_apply, or eigh, the singularity test and the signed
     reflect."""
     if newton is None:
@@ -290,18 +299,32 @@ def seeded_2x2_cases():
     return cases
 
 
+def seeded_other_size_cases():
+    """Symmetric matrices of every other size the steps meet, some of them
+    singular, with gradients."""
+    rng = np.random.default_rng(21)
+    cases = [(np.diag([1.0, 0.0, -2.0]), np.array([1e-3, 0.0, 1.0])),
+             (np.zeros((4, 4)), np.ones(4)), (np.eye(1), np.array([2.0]))]
+    for n in (1, 3, 4, 7, 15, 30):
+        for _ in range(5):
+            B = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-4, 4)
+            cases.append((0.5 * (B + B.T),
+                          rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)))
+    return cases
+
+
 @pytest.mark.parametrize("mode", ["shift", "floor", "newton"])
 @pytest.mark.parametrize("sched", [
     DeltaSchedule(), DeltaSchedule(h_mode="power"),
     DeltaSchedule(selection="random-per-iteration")],
     ids=["sequential", "power", "random"])
 def test_2x2_direction_matches_the_array_chain(mode, sched, monkeypatch):
-    cases = seeded_2x2_cases()
+    cases = seeded_2x2_cases() + seeded_other_size_cases()
     want = [direction_outcome(array_direction, H, g, sched, mode)
             for H, g in cases]
 
     def absent(*args, **kwargs):
-        raise AssertionError("the 2-d kernel called the array chain")
+        raise AssertionError("the step called a public wrapper")
 
     for name in ("eigh", "select_delta", "reflect_inverse_apply"):
         monkeypatch.setattr(optimizers, name, absent)
@@ -309,6 +332,7 @@ def test_2x2_direction_matches_the_array_chain(mode, sched, monkeypatch):
            for H, g in cases]
     assert got == want
     assert sum(len(out) == 4 for out, _ in got) > 100      # steps, not errors
+    assert sum(len(out) == 4 and out[2] != (2,) for out, _ in got) > 20
 
 
 @pytest.mark.parametrize("H, mode, sched, error, message", [
@@ -327,6 +351,12 @@ def test_2x2_direction_matches_the_array_chain(mode, sched, monkeypatch):
     ([[0.0, 0.0], [0.0, 1e15]], "floor", DeltaSchedule(deltas=(0.0,)),
      NoValidDeltaError,
      "no shift produced an invertible matrix (tried [0.0])"),
+    (np.diag([1.0, np.nan, 1.0]), "newton", None, InvalidInputError,
+     "matrix has non-finite entries"),
+    ([[1.0, 2.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "shift", None,
+     InvalidInputError, "matrix is not exactly symmetric"),
+    (np.diag([1.0, 0.0, 2.0]), "newton", None, SingularMatrixError,
+     "singular Hessian in Newton update"),
 ])
 def test_2x2_direction_rejects_as_the_array_chain(H, mode, sched, error,
                                                    message):
@@ -339,13 +369,14 @@ def test_2x2_direction_rejects_as_the_array_chain(H, mode, sched, error,
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_2x2_apply_rejects_a_zero_eigenvalue(signed):
-    g = np.array([1.0, 1.0])
-    V = [[0.0, 1.0], [1.0, 0.0]]
-    with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
-        reflect_apply_2x2([-2.0, 0.0], V, g, signed)
-    dec = SpectralDecomposition(np.array([-2.0, 0.0]), np.array(V))
-    with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
-        reflect_inverse_apply(dec, g, signed)
+    for lam in ([-2.0, 0.0], [-0.0, 1.0, 3.0]):
+        g = np.ones(len(lam))
+        V = np.eye(len(lam))[::-1]
+        with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
+            reflect_apply(lam, V, g, signed)
+        dec = SpectralDecomposition(np.array(lam), V)
+        with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
+            reflect_inverse_apply(dec, g, signed)
 
 
 def rosenbrock2_grid_starts(seed=1, k=4, lo=-2.0, hi=2.0):
@@ -373,15 +404,19 @@ def record_bits(trace):
 def test_2d_runs_match_runs_without_the_kernel(method, selection,
                                                monkeypatch):
     sched = DeltaSchedule(selection=selection)
-    stop = StopCriteria(max_iter=50)
-    minimizations = [(make_benchmark("rosenbrock", 2), x0)
+    minimizations = [(make_benchmark("rosenbrock", 2), x0, 50)
                      for x0 in rosenbrock2_grid_starts()]
-    minimizations += [(make_benchmark(e), default_start(e))
+    minimizations += [(make_benchmark(e), default_start(e), 50)
                       for e in ("ex12", "ex13", "ex19", "ex21", "ex23")]
+    # larger sizes, the last with a finite-difference Hessian
+    minimizations += [(make_benchmark("rosenbrock", 30), ROSENBROCK30_X0, 6),
+                      (make_benchmark("griewank", 15), GRIEWANK15_X0, 12),
+                      (make_benchmark("protein:ABBBA"), ABBBA_STARTS[0], 50)]
 
     def all_runs():
-        traces = [run(method, obj, x0, sched=sched, stop=stop, seed=3)
-                  for obj, x0 in minimizations]
+        traces = [run(method, obj, x0, sched=sched,
+                      stop=StopCriteria(max_iter=cap), seed=3)
+                  for obj, x0, cap in minimizations]
         traces += [find_root(builtin(key.split("-")[0]), z0, method=method,
                              sched=sched, stop=StopCriteria(max_iter=200),
                              seed=3).trace
@@ -391,6 +426,19 @@ def test_2d_runs_match_runs_without_the_kernel(method, selection,
     with_kernel = all_runs()
     monkeypatch.setattr(optimizers, "_direction", array_direction)
     assert all_runs() == with_kernel
+
+
+def test_every_traced_boundary_is_bound_where_the_tracer_reads_it():
+    # perfbench's tracer swaps a wrapper in for each name, read from the
+    # owner's __dict__; a refactor that drops one breaks every traced pass
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(owner.__name__, attr)
+               for owner, attr, _, _ in tracing._BOUNDARIES
+               if not callable(owner.__dict__.get(attr))]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

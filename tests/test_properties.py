@@ -162,9 +162,9 @@ def _reflect_apply_array(dec, g, signed):
 @example(A=np.array([[1e-300, 0.0], [0.0, -1e300]]),
          g=np.array([1e-10, 1e10]), signed=True)
 def test_reflect_inverse_apply_2x2_matches_the_array_form(A, g, signed):
-    # the step kernel's helper on eigh_2x2's lists, and the public apply
-    # that wraps it, against the array form
-    from qnewton.spectral import (eigh, eigh_2x2, reflect_apply_2x2,
+    # the step's apply on eigenpairs' lists, and the public apply that wraps
+    # it, against the array form
+    from qnewton.spectral import (eigenpairs, eigh, reflect_apply,
                                   reflect_inverse_apply)
     dec = eigh(A)
     assume((dec.eigenvalues != 0.0).all())
@@ -175,9 +175,9 @@ def test_reflect_inverse_apply_2x2_matches_the_array_form(A, g, signed):
         bound = APPLY2_RTOL * EPS * (
             E @ ((E.T @ np.abs(g)) / np.abs(dec.eigenvalues)))
     assume(np.isfinite(want).all())
-    lam, V = eigh_2x2(A)
+    lam, V = eigenpairs(A)
     assert (lam, V) == (dec.eigenvalues.tolist(), dec.eigenvectors.tolist())
-    w = reflect_apply_2x2(lam, V, g, signed)
+    w = reflect_apply(lam, V, g, signed)
     assert w.dtype == np.float64 and w.shape == (2,)
     assert np.all(np.abs(w - want) <= bound)
     assert reflect_inverse_apply(dec, g, signed=signed).tobytes() \
