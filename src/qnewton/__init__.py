@@ -6,6 +6,10 @@ eigenvalue.  Near a nondegenerate local minimum this is exactly Newton's
 method; near a saddle the reflection turns the attracting directions into
 repelling ones, so the iteration escapes instead of converging to it.
 
+The update is three operations, each with one name: ``eigh`` decomposes
+the Hessian, ``select_delta`` picks the shift on its eigenvalues, and
+``reflect_inverse_apply`` applies |A|^-1 to the gradient.
+
 Submodules: ``spectral`` (symmetric eigendecomposition and the reflected
 solve), ``objectives`` (benchmark catalog, finite differences, the chain
 model, stochastic objectives), ``optimizers`` (the methods and the run
@@ -17,7 +21,7 @@ points), ``cli`` (the command line).
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      NoValidDeltaError, QNewtonError, SingularMatrixError,
                      StalledLineSearchError)
-from .spectral import SpectralDecomposition, eigh, reflect_inverse_apply
+from .spectral import eigh, reflect_inverse_apply
 from .objectives import (Objective, fd_gradient, fd_hessian, make_benchmark,
                          make_stochastic_griewank, protein_objective)
 from .optimizers import (DeltaSchedule, IterationRecord, METHODS,
@@ -35,7 +39,7 @@ __all__ = [
     "DeltaSchedule", "DomainError", "ExperimentSpec", "IterationRecord",
     "InvalidInputError", "METHODS", "MeroFunction", "MethodConfig",
     "NoConvergenceError", "NoValidDeltaError", "Objective", "QNewtonError",
-    "ResultRow", "RootResult", "SingularMatrixError", "SpectralDecomposition",
+    "ResultRow", "RootResult", "SingularMatrixError",
     "StalledLineSearchError", "StopCriteria", "Trace", "build_spec",
     "builtin", "classify_critical_point", "emit_report",
     "eigh", "exp_rational_derivative", "fd_gradient", "fd_hessian",

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -148,6 +149,11 @@ def build_spec(name, objective, params=None, initial_points=None,
         if isinstance(initial_points, dict):
             rng = np.random.default_rng(initial_points.get("seed", seed))
             lo, hi = initial_points.get("box", (-2.0, 2.0))
+            # NaN, an infinite bound, or a width past the float range
+            if not math.isfinite(hi - lo):
+                raise InvalidInputError(
+                    f"box must have finite bounds and width, got "
+                    f"[{lo!r}, {hi!r}]")
             count = as_integer(initial_points.get("count", 1), "count")
             pts = rng.uniform(lo, hi, size=(count, dim))
         else:
@@ -266,7 +272,7 @@ def emit_report(rows, format="csv"):
         writer.writerow(_COLUMNS)
         writer.writerows(cells)
         return out.getvalue()
-    if format in ("markdown", "markdown-table"):
+    if format == "markdown":
         widths = [max(len(col), *(len(row[i]) for row in cells), 1)
                   if cells else len(col)
                   for i, col in enumerate(_COLUMNS)]

@@ -74,7 +74,7 @@ class Objective:
     ``hessian`` only evaluates: it returns the provider's array as a float
     array (possibly the provider's own object, so a constant Hessian should
     be read-only) or the finite-difference Hessian, and checks nothing.  A
-    step decomposes it with ``spectral.eigenpairs``, the one check that it is
+    step decomposes it with ``spectral.eigh``, the one check that it is
     finite and exactly symmetric; a provider whose formula rounds the two
     triangles differently symmetrizes its own product.
     """
@@ -82,7 +82,7 @@ class Objective:
     def __init__(self, dim, value, gradient=None, hessian=None, name=""):
         self.dim = as_integer(dim, "dim")
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise InvalidInputError("dim must be >= 1")
         self._value = value
         self.analytic_gradient = gradient is not None
         self.analytic_hessian = hessian is not None

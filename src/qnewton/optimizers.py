@@ -13,11 +13,13 @@ buys monotone function values), classical Newton, randomly damped Newton,
 and a two-way backtracking gradient descent, all driven by one loop with a
 shared trace format.
 
-The four Newton-type steps share one direction helper, ``_direction``: it
-decomposes the Hessian with ``spectral.eigenpairs``, picks the shift (or
-runs Newton's singularity test) on the eigenvalue list, and applies the
-reflected inverse with ``spectral.reflect_apply``, the same three calls at
-every size.  ``select_delta`` is the shift choice in its public form.
+Each Newton-type step makes the same calls at every size.  ``nqn`` and
+``nqn-backtracking`` call ``select_delta``, which decomposes the Hessian
+with ``spectral.eigh`` and picks the shift on the eigenvalue list, and then
+``spectral.reflect_inverse_apply``.  ``newton`` and
+``random-damping-newton`` call ``eigh``, Newton's singularity test and the
+signed ``reflect_inverse_apply``.  The steps call them through this
+module's names, so a wrapper put in their place sees every call.
 """
 
 import json
@@ -36,16 +38,12 @@ from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      StalledLineSearchError)
 from .objectives.base import as_integer
 from .objectives.stochastic import StochasticObjective, sample_batch_objective
-# No step calls reflect_inverse_apply, but perfbench's tracer reads it, like
-# eigh, select_delta and sample_batch_objective, from this module's
-# namespace, so the import stays.
-from .spectral import (SpectralDecomposition, eigenpairs, eigh,  # noqa: F401
-                       reflect_apply, reflect_inverse_apply)
+from .spectral import eigh, reflect_inverse_apply
 
 # Step failures that end a run with a "numerical-error" status instead of
 # propagating: everything that floating-point evaluation or the update rule
 # can legitimately hit at a bad point.  Inside the loop InvalidInputError
-# comes from eigenpairs alone, the one check that the step's Hessian is
+# comes from eigh alone, the one check that the step's Hessian is
 # finite and exactly symmetric.
 _STEP_FAILURES = (NoValidDeltaError, SingularMatrixError,
                   StalledLineSearchError, NoConvergenceError, DomainError,
@@ -256,36 +254,27 @@ def _magnitude_range(lam, shift=0.0):
 
 
 def select_delta(hessian, grad_norm, sched=None, rng=None, floor=False):
-    """Pick the first acceptable shift; return (delta, decomposition).
+    """Pick the first acceptable shift; return (delta, lam, V).
 
-    H is decomposed once per call.  Shifting by delta*h*I moves every
-    eigenvalue by delta*h and leaves the eigenvectors alone, so each
-    candidate is tested on lambda(H) + delta*h at O(n) cost (see
-    ``_first_shift``), and the decomposition of A = H + delta*h*I is
-    returned with H's eigenvectors so the caller never recomputes it.
+    H is decomposed once per call, with ``eigh``.  Shifting by delta*h*I
+    moves every eigenvalue by delta*h and leaves the eigenvectors alone, so
+    each candidate is tested on lambda(H) + delta*h at O(n) cost, and the
+    decomposition of A = H + delta*h*I is returned as its eigenvalue list,
+    ascending, with H's eigenvectors V, ready for
+    ``reflect_inverse_apply``.  l + delta*h on a Python float has the bits
+    of numpy's ``eigenvalues + delta*h``.
+
+    The candidates are the schedule's shifts in order, or fresh draws from
+    ``rng`` under "random-per-iteration".  With ``floor`` the acceptance
+    bar is min |eig| >= min_gap/2 * h (the spacing argument: of any m+1
+    distinct shifts at most m can land an eigenvalue inside the band, so
+    some shift always clears it); otherwise it is the relative
+    EPS_SING_RTOL test.  h(grad_norm) is computed before H is decomposed,
+    so a call that fails both ways raises h's error.
     """
     sched = sched or DeltaSchedule()
     hval = sched.h(grad_norm)
-    dec_H = eigh(hessian)
-    delta, shift = _first_shift(dec_H.eigenvalues.tolist(), hval, sched, rng,
-                                floor)
-    lam = dec_H.eigenvalues + shift
-    lam.setflags(write=False)
-    return delta, SpectralDecomposition(lam, dec_H.eigenvectors)
-
-
-def _first_shift(lam, hval, sched, rng, floor):
-    """The first shift that clears the bar on eigenvalues ``lam``.
-
-    Returns (delta, delta*hval) for the first candidate delta: the
-    schedule's shifts in order, or fresh draws under
-    "random-per-iteration".  With ``floor`` the acceptance bar is
-    min |eig| >= min_gap/2 * hval (the spacing argument: of any m+1
-    distinct shifts at most m can land an eigenvalue inside the band, so
-    some shift always clears it); otherwise it is the relative
-    EPS_SING_RTOL test.  ``lam`` is a list of Python floats, and l + shift
-    has the bits of numpy's ``eigenvalues + shift``.
-    """
+    lam, V = eigh(hessian)
     if sched.selection == "random-per-iteration":
         if rng is None:
             rng = np.random.default_rng()
@@ -304,38 +293,15 @@ def _first_shift(lam, hval, sched, rng, floor):
         else:
             ok = amin > EPS_SING_RTOL * amax
         if ok:
-            return delta, shift
+            return delta, [v + shift for v in lam], V
         tried.append(delta)
     raise NoValidDeltaError(
         f"no shift produced an invertible matrix (tried {tried})")
 
 
-def _direction(hessian, g, gn, sched=None, rng=None, floor=False,
-               newton=None):
-    """(delta, w): the direction of a Newton-type step and its shift.
-
-    Shifted (``newton`` None): w = |A|^-1 g with A = H + delta*h(gn)*I and
-    delta from ``_first_shift``.  Newton (``newton`` names the update for
-    the error message): delta is None and w = H^-1 g, after a test that
-    raises SingularMatrixError when min |eig| <= EPS_SING_RTOL * max |eig|.
-
-    The shift runs on the eigenvalue list and the eigenvectors pass
-    through unchanged, so w has the bits of ``select_delta`` (or ``eigh``)
-    followed by ``reflect_inverse_apply``, without their arrays.
-    """
-    if newton is not None:
-        lam, V = eigenpairs(hessian)
-        _check_invertible(lam, newton)
-        return None, reflect_apply(lam, V, g, signed=True)
-    sched = sched or DeltaSchedule()
-    hval = sched.h(gn)          # before decomposing, as in select_delta
-    lam, V = eigenpairs(hessian)
-    delta, shift = _first_shift(lam, hval, sched, rng, floor)
-    return delta, reflect_apply([v + shift for v in lam], V, g)
-
-
 def _check_invertible(lam, update):
-    """Newton's singularity test on the eigenvalue list ``lam``."""
+    """Newton's singularity test on the eigenvalue list ``lam``: raises
+    SingularMatrixError when min |eig| <= EPS_SING_RTOL * max |eig|."""
     amin, amax = _magnitude_range(lam)
     if amin <= EPS_SING_RTOL * amax:
         raise SingularMatrixError(f"singular Hessian in {update} update")
@@ -368,7 +334,8 @@ def _probe(obj, x):
 
 def nqn_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """One shifted-reflected-Newton update (see the step contract above)."""
-    delta, w = _direction(obj.hessian(x), g, gn, sched, rng)
+    delta, lam, V = select_delta(obj.hessian(x), gn, sched, rng)
+    w = reflect_inverse_apply(lam, V, g)
     return x - w, None, delta, _norm(w), 0
 
 
@@ -379,7 +346,8 @@ def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     f(x - beta*w) <= f(x) - beta/2 * <w, grad f> then guarantees descent.
     A probe at which f raises (a pole, an overflow) fails the test.
     """
-    delta, w = _direction(obj.hessian(x), g, gn, sched, rng, floor=True)
+    delta, lam, V = select_delta(obj.hessian(x), gn, sched, rng, floor=True)
+    w = reflect_inverse_apply(lam, V, g)
     wg = float(w @ g)            # nonnegative by construction
     beta = 1.0
     for halvings in range(_MAX_HALVINGS + 1):
@@ -399,8 +367,9 @@ def newton_step(obj, x, f, g, gn, sched=None, rng=None, state=None,
     With ``damped`` the step is scaled by a fresh uniform draw from (0, 2),
     returned as the step's delta.
     """
-    _, w = _direction(obj.hessian(x), g, gn,
-                      newton="damped Newton" if damped else "Newton")
+    lam, V = eigh(obj.hessian(x))
+    _check_invertible(lam, "damped Newton" if damped else "Newton")
+    w = reflect_inverse_apply(lam, V, g, signed=True)
     damping = None
     if damped:
         damping = float(rng.uniform(0.0, 2.0))

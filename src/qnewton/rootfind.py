@@ -133,28 +133,27 @@ def _mero_parts(m):
                      name=m.name or "mero-squared-modulus"), at
 
 
-def classify_critical_point(m, z, tol=ROOT_TOL):
+def classify_critical_point(m, z):
     """Label a (near-)critical point of f = |g|^2.
 
-    |g| <= tol: a root of g.  Otherwise a zero of g' with g*g'' != 0 is a
-    saddle of f (the Hessian there has determinant -|g*g''|^2 < 0); anything
-    else is reported degenerate rather than guessed.
+    |g| <= ROOT_TOL: a root of g.  Otherwise a zero of g' with g*g'' != 0
+    is a saddle of f (the Hessian there has determinant -|g*g''|^2 < 0);
+    anything else is reported degenerate rather than guessed.
     """
-    return _classify(m.eval_all(complex(z)), tol)
+    return _classify(m.eval_all(complex(z)))
 
 
-def _classify(triple, tol):
+def _classify(triple):
     """classify_critical_point's label from (g, g', g'') at the point."""
     gv, g1, g2 = triple
-    if abs(gv) <= tol:
+    if abs(gv) <= ROOT_TOL:
         return "root-of-g"
-    if abs(g1) <= tol and abs(gv * g2) > tol:
+    if abs(g1) <= ROOT_TOL and abs(gv * g2) > ROOT_TOL:
         return "saddle-of-f"
     return "degenerate"
 
 
-def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None,
-              root_tol=ROOT_TOL):
+def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None):
     """Minimize |g|^2 from z0 with the chosen method and classify the end."""
     z0 = complex(z0)
     obj, at = _mero_parts(m)
@@ -164,7 +163,7 @@ def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None,
     if trace.termination == "diverged":
         classification = "diverged"
     else:       # the cache holds the end point unless a probe came last
-        classification = _classify(at(trace.final_x), root_tol)
+        classification = _classify(at(trace.final_x))
     return RootResult(z=zf, f_value=trace.final_f,
                       classification=classification, trace=trace)
 

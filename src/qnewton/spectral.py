@@ -1,11 +1,11 @@
 """Symmetric eigendecomposition and spectral-reflection arithmetic.
 
-Two helpers carry every size: ``eigenpairs`` decomposes a matrix and
-``reflect_apply`` applies the reflected inverse.  They are the only two
-places that tell n = 2 apart, and both run it on Python floats, which skips
-numpy's per-call overhead on 2-element arrays.
+Two functions carry every size: ``eigh`` decomposes a matrix and
+``reflect_inverse_apply`` applies the reflected inverse.  They are the only
+two places that tell n = 2 apart, and both run it on Python floats, which
+skips numpy's per-call overhead on 2-element arrays.
 
-``eigenpairs`` checks its input and returns the eigenvalues, ascending, as
+``eigh`` checks its input and returns the eigenvalues, ascending, as
 a list of Python floats.  A 2x2 matrix is decomposed in closed form by one
 Jacobi rotation, the symmetric Schur decomposition (Golub & Van Loan,
 *Matrix Computations*, 4th ed., Alg. 8.5.1); a matrix with entries near
@@ -16,52 +16,34 @@ lists of columns, are orthonormal to 8*eps, each with its largest-magnitude
 component nonnegative (the first one on a tie).  Every other size goes
 through LAPACK's divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh``
 calls it and keeps LAPACK's eigenvector array and signs.  No result reads a
-sign: ``reflect_apply`` uses each e_i twice and negation is exact, so
+sign: ``reflect_inverse_apply`` uses each e_i twice and negation is exact, so
 flipping a column leaves its output unchanged bit for bit.  For identical
 input and a fixed BLAS thread count the output is deterministic bit for
 bit, so runs replay exactly.
 
-``reflect_apply`` implements the core update arithmetic: given the
-eigenpairs of an invertible symmetric A and a vector g, it returns
+``reflect_inverse_apply`` implements the core update arithmetic: given the
+eigenvalues and eigenvectors of an invertible symmetric A and a vector
+g, it returns
 
     w = sum_i (<e_i, g> / |lambda_i|) e_i
 
 i.e. |A|^-1 g, the inverse applied after reflecting negative eigenvalues to
 positive.  Equivalently w = pr+(A^-1 g) - pr-(A^-1 g).  With
 ``signed=True`` it divides by lambda_i itself, which is the Newton step
-A^-1 g.  With two eigenpairs it computes c_j = (E_0j g_0 + E_1j g_1) /
+A^-1 g.  With two eigenvalues it computes c_j = (E_0j g_0 + E_1j g_1) /
 |lambda_j| and w = E c on floats, which agrees with the array form
 E @ ((E.T @ g) / |lambda|) of every other size to within the rounding of
 those sums.  A shift of A by s*I moves every eigenvalue by s and keeps the
 eigenvectors, and l + s on a Python float rounds as numpy's
 ``eigenvalues + s`` does, so a shifted matrix is applied from the list
 ``[l + s for l in lam]``.
-
-``eigh`` and ``reflect_inverse_apply`` are the public forms of the two
-helpers, on read-only arrays in a ``SpectralDecomposition``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NoConvergenceError, SingularMatrixError
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and matching orthonormal eigenvectors.
-
-    ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self):
-        return self.eigenvalues.shape[0]
 
 
 # With max|A| in this range the 2x2 rotation runs on the entries as they
@@ -127,8 +109,8 @@ def _schur2(a, b, d):
     return [l1 * up1 * up2, l2 * up1 * up2], V
 
 
-def eigenpairs(A):
-    """Checked eigenpairs of a symmetric matrix, as (lam, V).
+def eigh(A):
+    """Checked eigendecomposition of a symmetric matrix, as (lam, V).
 
     This is the one validity check on a step's Hessian: ``Objective.hessian``
     only evaluates, and every step decomposes what it returns here, so a
@@ -178,21 +160,12 @@ def eigenpairs(A):
     return lam.tolist(), V
 
 
-def eigh(A):
-    """``eigenpairs`` as a SpectralDecomposition of read-only arrays, with
-    the same checks and errors."""
-    lam, V = eigenpairs(A)
-    lam, V = np.array(lam), np.asarray(V)
-    lam.setflags(write=False)
-    V.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
+def reflect_inverse_apply(lam, V, g, signed=False):
+    """Apply |A|^-1 to g from the eigendecomposition of A (A^-1 if
+    ``signed``).
 
-
-def reflect_apply(lam, V, g, signed=False):
-    """Apply |A|^-1 to g from the eigenpairs of A (A^-1 if ``signed``).
-
-    ``lam`` is the eigenvalue list and ``V`` the eigenvectors, as
-    ``eigenpairs`` returns them or as an array; g is a float array.
+    ``lam`` is the eigenvalue list and ``V`` the eigenvectors, as ``eigh``
+    returns them or as an array; g is a float array.
     Returns w with <w, g> >= 0 and ||w|| = ||A^-1 g||: positive-eigenvalue
     components of A^-1 g are kept, negative-eigenvalue components have
     their sign flipped.  With ``signed=True`` nothing is flipped:
@@ -215,9 +188,3 @@ def reflect_apply(lam, V, g, signed=False):
         return np.array([e00 * c0 + e01 * c1, e10 * c0 + e11 * c1])
     lam = np.array(lam)
     return V @ ((V.T @ g) / (lam if signed else np.abs(lam)))
-
-
-def reflect_inverse_apply(decomp, g, signed=False):
-    """``reflect_apply`` on a SpectralDecomposition; g may be array_like."""
-    return reflect_apply(decomp.eigenvalues.tolist(), decomp.eigenvectors,
-                         np.asarray(g, dtype=float), signed)

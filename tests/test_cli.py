@@ -104,6 +104,8 @@ def test_minimize_list_functions(capsys):
     ["minimize", "--function", "protein:BAB"],           # no registered start
     ["minimize", "--function", "ex13", "--bogus-flag"],
     ["minimize"],                                        # no function
+    ["minimize", "--function", "rosenbrock", "--x0", "random:1",
+     "--x0-box", "nan"],                                 # NaN drawn-start box
 ])
 def test_minimize_bad_invocations_exit_2(argv, capsys, tmp_path):
     assert run_cli(argv) == 2
@@ -252,6 +254,9 @@ def test_compare_spec_file(tmp_path, capsys):
      "initial_points": [[0.5] * 3]},
     {"initial_points": {"count": 2.5, "seed": 1}},
     {"stop": {"grad_tol": float("nan")}},
+    {"initial_points": {"count": 1, "box": [float("nan"), 1.0]}},
+    {"initial_points": {"count": 1, "box": [0.0, float("inf")]}},
+    {"initial_points": {"count": 1, "box": [-1e308, 1e308]}},  # width overflows
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},

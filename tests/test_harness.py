@@ -434,7 +434,6 @@ def test_markdown_report_shape():
     assert lines[0].startswith("| method")
     assert set(lines[1]) == {"|", "-"}
     assert " converged " in lines[2]
-    assert emit_report([row_fixture()], "markdown-table") == text
 
 
 def test_unknown_report_format():

@@ -410,6 +410,12 @@ def test_integer_rule(bad):
         make_stochastic_griewank(dim=2, batch_size=4, sigma=0.1, seed=bad)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_objective_dim_below_one_is_invalid_input(dim):
+    with pytest.raises(InvalidInputError, match="^dim must be >= 1$"):
+        Objective(dim, lambda x: 0.0)
+
+
 def test_parametric_dim_below_minimum_rejected():
     with pytest.raises(InvalidInputError):
         make_benchmark("rosenbrock", 1)

@@ -14,23 +14,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qnewton import optimizers
 from qnewton.errors import (DomainError, InvalidInputError, NoValidDeltaError,
                             QNewtonError, SingularMatrixError)
-from qnewton.objectives import (Objective, default_start, make_benchmark,
+from qnewton.objectives import (Objective, make_benchmark,
                                 make_stochastic_griewank,
                                 sample_batch_objective)
-from qnewton.optimizers import (EPS_SING_RTOL, METHODS, X_DIVERGENCE_CAP,
-                                DeltaSchedule, IterationRecord, StopCriteria,
-                                Trace, _classify, _direction, _write_utf8,
-                                backtracking_gd_step, newton_step,
-                                nqn_backtracking_step, nqn_step, run,
-                                select_delta)
-from qnewton.fixtures import (ABBBA_STARTS, GRIEWANK15_X0, ROOT_STARTS,
-                              ROSENBROCK2_X0, ROSENBROCK30_X0)
+from qnewton.optimizers import (METHODS, X_DIVERGENCE_CAP, DeltaSchedule,
+                                IterationRecord, StopCriteria, Trace,
+                                _classify, _write_utf8, backtracking_gd_step,
+                                newton_step, nqn_backtracking_step, nqn_step,
+                                run, select_delta)
+from qnewton.fixtures import GRIEWANK15_X0, ROOT_STARTS, ROSENBROCK2_X0
 from qnewton.rootfind import builtin, find_root
-from qnewton.spectral import (SpectralDecomposition, eigh, reflect_apply,
-                              reflect_inverse_apply)
+from qnewton.spectral import eigh, reflect_inverse_apply
 
 
 def quadratic_1d():
@@ -104,7 +100,7 @@ def test_capped_h_of_a_huge_gradient_norm_is_one():
     # t ** 2 overflows a float above about 1.3e154
     assert DeltaSchedule().h(1e155) == 1.0
     assert DeltaSchedule().h(float("inf")) == 1.0
-    delta, _ = select_delta(np.eye(2), 1e200)
+    delta, _, _ = select_delta(np.eye(2), 1e200)
     assert delta == 0.0
 
 
@@ -135,31 +131,32 @@ def test_stop_criteria_validation():
 
 def test_select_delta_invertible_takes_zero():
     H = np.array([[2.0]])
-    delta, dec = select_delta(H, 3.7)
+    delta, lam, V = select_delta(H, 3.7)
     A = H + delta * DeltaSchedule().h(3.7) * np.eye(1)
     assert delta == 0.0
     assert_allclose(A, [[2.0]])
-    assert_allclose(dec.eigenvalues, [2.0])
+    assert lam == [2.0]
+    assert_allclose(V, [[1.0]])
 
 
 def test_select_delta_singular_hand_case():
     H = np.array([[0.0]])
     sched = DeltaSchedule(h_mode="power", alpha=1.0)
-    delta, _ = select_delta(H, 2.0, sched)
+    delta, _, _ = select_delta(H, 2.0, sched)
     A = H + delta * sched.h(2.0) * np.eye(1)
     assert delta == 1.0
     assert_allclose(A, [[4.0]])
     # capped scaling shifts by min(1, 4) = 1 instead
-    delta, _ = select_delta(H, 2.0, DeltaSchedule())
+    delta, _, _ = select_delta(H, 2.0, DeltaSchedule())
     A = H + delta * DeltaSchedule().h(2.0) * np.eye(1)
     assert delta == 1.0
     assert_allclose(A, [[1.0]])
 
 
 def test_select_delta_floor_mode_hand_case():
-    delta, dec = select_delta(np.diag([0.0, 5.0]), 1.0, floor=True)
+    delta, lam, _ = select_delta(np.diag([0.0, 5.0]), 1.0, floor=True)
     assert delta == 1.0
-    assert_allclose(sorted(dec.eigenvalues), [1.0, 6.0])
+    assert lam == [1.0, 6.0]
 
 
 def test_select_delta_exhaustion():
@@ -176,7 +173,7 @@ def test_scaling_the_objective_changes_the_selected_shift(h_mode):
     # exhaust the list
     sched = DeltaSchedule(h_mode=h_mode)
     H = np.diag([1.0, 0.0])
-    delta, _ = select_delta(H, 1e-3, sched)
+    delta, _, _ = select_delta(H, 1e-3, sched)
     assert delta == 1.0
     c = 1e-8
     with pytest.raises(NoValidDeltaError):
@@ -187,9 +184,22 @@ def test_select_delta_random_mode_seeded():
     sched = DeltaSchedule(selection="random-per-iteration")
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
-    d1, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng1)
-    d2, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng2)
+    d1, _, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng1)
+    d2, _, _ = select_delta(np.array([[0.0]]), 1.0, sched, rng=rng2)
     assert d1 == d2 and d1 != 0.0
+    # the Generator advances by one draw per candidate: one when it is
+    # accepted, _MAX_RANDOM_DRAWS when none is
+    lo, hi = sched.random_interval
+    for H, draws in ((np.array([[0.0]]), 1), (np.diag([0.0, 1.0, 1e15]), 100)):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        want = [float(ref.uniform(lo, hi)) for _ in range(draws)]
+        try:
+            delta, _, _ = select_delta(H, 1.0, sched, rng)
+            assert delta == want[-1]
+        except NoValidDeltaError as exc:
+            assert str(exc) == (
+                f"no shift produced an invertible matrix (tried {want})")
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_select_delta_floor_always_succeeds_on_singular_input():
@@ -206,9 +216,8 @@ def test_select_delta_floor_always_succeeds_on_singular_input():
         H = 0.5 * (H + H.T)
         sched = DeltaSchedule(deltas=deltas[:n + 1])
         gn = float(10.0 ** rng.uniform(-6, 2))
-        delta, dec = select_delta(H, gn, sched, floor=True)
-        assert np.min(np.abs(dec.eigenvalues)) \
-            >= 0.5 * sched.min_gap * sched.h(gn)
+        delta, lam, _ = select_delta(H, gn, sched, floor=True)
+        assert min(abs(v) for v in lam) >= 0.5 * sched.min_gap * sched.h(gn)
 
 
 def test_select_delta_decomposes_once_per_call(monkeypatch):
@@ -222,10 +231,10 @@ def test_select_delta_decomposes_once_per_call(monkeypatch):
 
     monkeypatch.setattr(qnewton.optimizers, "eigh", counting_eigh)
     # delta=0 leaves the zero eigenvalue in place and is rejected
-    delta, dec = select_delta(np.diag([1.0, 0.0]), 1.0, floor=True)
+    delta, lam, _ = select_delta(np.diag([1.0, 0.0]), 1.0, floor=True)
     assert delta == 1.0
     assert len(calls) == 1
-    assert_allclose(dec.eigenvalues, [1.0, 2.0], rtol=0, atol=0)
+    assert lam == [1.0, 2.0]
 
 
 def test_select_delta_shifted_spectrum_matches_direct_decomposition():
@@ -238,101 +247,33 @@ def test_select_delta_shifted_spectrum_matches_direct_decomposition():
     deltas = (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0, 5.0, -5.0, 6.0)
     for H, gn in cases:
         sched = DeltaSchedule(deltas=deltas[:H.shape[0] + 1], h_mode="power")
-        delta, dec = select_delta(H, gn, sched, floor=True)
+        delta, lam, V = select_delta(H, gn, sched, floor=True)
         A = H + delta * sched.h(gn) * np.eye(H.shape[0])
-        lam, V = dec.eigenvalues, dec.eigenvectors
+        lam, V = np.array(lam), np.array(V)
         scale = float(np.max(np.abs(lam)))
         assert np.all(np.diff(lam) >= 0)
-        assert np.max(np.abs(lam - eigh(A).eigenvalues)) <= 1e-12 * scale
+        assert np.max(np.abs(lam - eigh(A)[0])) <= 1e-12 * scale
         assert np.max(np.abs((V * lam) @ V.T - A)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
-# the step's direction gives the bits of the public wrappers at every size
+# what the steps' spectral calls raise
 # ---------------------------------------------------------------------------
 
-def array_direction(hessian, g, gn, sched=None, rng=None, floor=False,
-                    newton=None):
-    """_direction through the public wrappers on arrays: select_delta and
-    reflect_inverse_apply, or eigh, the singularity test and the signed
-    reflect."""
-    if newton is None:
-        delta, dec = select_delta(hessian, gn, sched, rng, floor)
-        return delta, reflect_inverse_apply(dec, g)
-    dec = eigh(hessian)
-    mags = np.abs(dec.eigenvalues)
-    if mags.min() <= EPS_SING_RTOL * mags.max():
-        raise SingularMatrixError(f"singular Hessian in {newton} update")
-    return None, reflect_inverse_apply(dec, g, signed=True)
-
-
-def direction_outcome(direction, H, g, sched, mode):
-    """(delta, bits of w) or (exception class, message), and the state of
-    the seeded Generator afterwards, which shows the draws made."""
-    rng = np.random.default_rng(5)
-    kwargs = ({"newton": "Newton"} if mode == "newton"
-              else {"floor": mode == "floor"})
+def spectral_outcome(H, g, sched, mode):
+    """The exception class and message of the calls a step makes on the
+    Hessian H: select_delta for a shifted step ("shift", "floor"), or
+    newton_step, which calls eigh and the singularity test ("newton")."""
+    gn = float(np.linalg.norm(g))
     try:
-        delta, w = direction(H, g, float(np.linalg.norm(g)), sched, rng,
-                             **kwargs)
-        out = (delta, w.dtype, w.shape, w.tobytes())
+        if mode == "newton":
+            obj = Objective(len(H), lambda x: 0.0, hessian=lambda x: H)
+            newton_step(obj, np.zeros(len(H)), 0.0, g, gn)
+        else:
+            select_delta(H, gn, sched, floor=mode == "floor")
     except QNewtonError as exc:
-        out = (type(exc), str(exc))
-    return out, rng.bit_generator.state
-
-
-def seeded_2x2_cases():
-    rng = np.random.default_rng(19)
-    cases = [(c * np.diag([1.0, 0.0]), np.array([c * 1e-3, 0.0]))
-             for c in (1.0, 1e-8, 1e14)]
-    cases += [(np.array(H), np.array(g)) for H, g in [
-        ([[0.0, 1.0], [1.0, 0.0]], [0.3, -0.7]),
-        ([[2.0, -3.0], [-3.0, 2.0]], [1.0, -1.0]),
-        ([[1e-300, 0.0], [0.0, -1e300]], [1e-10, 1e10]),
-        ([[-1.0, 0.0], [0.0, -2.0]], [4.0, 5.0]),
-        ([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
-    ]]
-    for _ in range(150):
-        B = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-8, 8)
-        cases.append((0.5 * (B + B.T),
-                      rng.normal(size=2) * 10.0 ** rng.uniform(-6, 3)))
-    return cases
-
-
-def seeded_other_size_cases():
-    """Symmetric matrices of every other size the steps meet, some of them
-    singular, with gradients."""
-    rng = np.random.default_rng(21)
-    cases = [(np.diag([1.0, 0.0, -2.0]), np.array([1e-3, 0.0, 1.0])),
-             (np.zeros((4, 4)), np.ones(4)), (np.eye(1), np.array([2.0]))]
-    for n in (1, 3, 4, 7, 15, 30):
-        for _ in range(5):
-            B = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-4, 4)
-            cases.append((0.5 * (B + B.T),
-                          rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)))
-    return cases
-
-
-@pytest.mark.parametrize("mode", ["shift", "floor", "newton"])
-@pytest.mark.parametrize("sched", [
-    DeltaSchedule(), DeltaSchedule(h_mode="power"),
-    DeltaSchedule(selection="random-per-iteration")],
-    ids=["sequential", "power", "random"])
-def test_2x2_direction_matches_the_array_chain(mode, sched, monkeypatch):
-    cases = seeded_2x2_cases() + seeded_other_size_cases()
-    want = [direction_outcome(array_direction, H, g, sched, mode)
-            for H, g in cases]
-
-    def absent(*args, **kwargs):
-        raise AssertionError("the step called a public wrapper")
-
-    for name in ("eigh", "select_delta", "reflect_inverse_apply"):
-        monkeypatch.setattr(optimizers, name, absent)
-    got = [direction_outcome(_direction, H, g, sched, mode)
-           for H, g in cases]
-    assert got == want
-    assert sum(len(out) == 4 for out, _ in got) > 100      # steps, not errors
-    assert sum(len(out) == 4 and out[2] != (2,) for out, _ in got) > 20
+        return type(exc), str(exc)
+    return None
 
 
 @pytest.mark.parametrize("H, mode, sched, error, message", [
@@ -357,14 +298,26 @@ def test_2x2_direction_matches_the_array_chain(mode, sched, monkeypatch):
      InvalidInputError, "matrix is not exactly symmetric"),
     (np.diag([1.0, 0.0, 2.0]), "newton", None, SingularMatrixError,
      "singular Hessian in Newton update"),
+    ([[np.nan]], "shift", None, InvalidInputError,
+     "matrix has non-finite entries"),
+    (np.ones((1, 2)), "newton", None, InvalidInputError,
+     "expected a square matrix, got shape (1, 2)"),
+    ([[0.0]], "newton", None, SingularMatrixError,
+     "singular Hessian in Newton update"),
+    ([[0.0]], "floor", DeltaSchedule(deltas=(0.0,)), NoValidDeltaError,
+     "no shift produced an invertible matrix (tried [0.0])"),
+    (np.ones((3, 2)), "floor", None, InvalidInputError,
+     "expected a square matrix, got shape (3, 2)"),
+    (np.diag([0.0, 0.0, 1e15]), "shift", None, NoValidDeltaError,
+     "no shift produced an invertible matrix (tried [0.0, 1.0, -1.0])"),
 ])
 def test_2x2_direction_rejects_as_the_array_chain(H, mode, sched, error,
                                                    message):
+    # the classes and messages the array chain raised at n = 2 and 3, and
+    # the same checks at n = 1
     g = np.array([1e-11, 0.0])
-    sched = sched or DeltaSchedule()
-    for direction in (_direction, array_direction):
-        out, _ = direction_outcome(direction, np.array(H), g, sched, mode)
-        assert out == (error, message)
+    out = spectral_outcome(np.array(H), g, sched or DeltaSchedule(), mode)
+    assert out == (error, message)
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -373,72 +326,54 @@ def test_2x2_apply_rejects_a_zero_eigenvalue(signed):
         g = np.ones(len(lam))
         V = np.eye(len(lam))[::-1]
         with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
-            reflect_apply(lam, V, g, signed)
-        dec = SpectralDecomposition(np.array(lam), V)
+            reflect_inverse_apply(lam, V, g, signed)
         with pytest.raises(SingularMatrixError, match="^matrix has a zero "):
-            reflect_inverse_apply(dec, g, signed)
+            reflect_inverse_apply(lam, V.tolist(), g, signed)
 
 
-def rosenbrock2_grid_starts(seed=1, k=4, lo=-2.0, hi=2.0):
-    """One jittered start per cell of a k x k grid over the box."""
-    cells = np.array([(i, j) for i in range(k) for j in range(k)],
-                     dtype=float)
-    jitter = np.random.default_rng(seed).uniform(size=cells.shape)
-    return lo + (hi - lo) * (cells + jitter) / k
+# ---------------------------------------------------------------------------
+# perfbench's tracer
+# ---------------------------------------------------------------------------
 
-
-def record_bits(trace):
-    """Every field of every record but wall_ns, with the outcome."""
-    return [(r.index, r.x.tobytes(),
-             np.array([r.f, r.grad_norm, r.step_norm]).tobytes(),
-             None if r.delta_used is None
-             else np.float64(r.delta_used).tobytes(), r.ls_backtracks)
-            for r in trace.records], trace.termination, trace.error_class
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # random shifts
-@pytest.mark.parametrize("method, selection", [
-    ("nqn", "sequential"), ("nqn", "random-per-iteration"),
-    ("nqn-backtracking", "sequential"), ("newton", "sequential"),
-    ("random-damping-newton", "sequential")])
-def test_2d_runs_match_runs_without_the_kernel(method, selection,
-                                               monkeypatch):
-    sched = DeltaSchedule(selection=selection)
-    minimizations = [(make_benchmark("rosenbrock", 2), x0, 50)
-                     for x0 in rosenbrock2_grid_starts()]
-    minimizations += [(make_benchmark(e), default_start(e), 50)
-                      for e in ("ex12", "ex13", "ex19", "ex21", "ex23")]
-    # larger sizes, the last with a finite-difference Hessian
-    minimizations += [(make_benchmark("rosenbrock", 30), ROSENBROCK30_X0, 6),
-                      (make_benchmark("griewank", 15), GRIEWANK15_X0, 12),
-                      (make_benchmark("protein:ABBBA"), ABBBA_STARTS[0], 50)]
-
-    def all_runs():
-        traces = [run(method, obj, x0, sched=sched,
-                      stop=StopCriteria(max_iter=cap), seed=3)
-                  for obj, x0, cap in minimizations]
-        traces += [find_root(builtin(key.split("-")[0]), z0, method=method,
-                             sched=sched, stop=StopCriteria(max_iter=200),
-                             seed=3).trace
-                   for key, z0 in ROOT_STARTS.items()]
-        return [record_bits(t) for t in traces]
-
-    with_kernel = all_runs()
-    monkeypatch.setattr(optimizers, "_direction", array_direction)
-    assert all_runs() == with_kernel
+def load_tracing():
+    """perfbench/tracing.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_every_traced_boundary_is_bound_where_the_tracer_reads_it():
     # perfbench's tracer swaps a wrapper in for each name, read from the
     # owner's __dict__; a refactor that drops one breaks every traced pass
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     missing = [(owner.__name__, attr)
                for owner, attr, _, _ in tracing._BOUNDARIES
                if not callable(owner.__dict__.get(attr))]
     assert missing == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim 15
+def test_the_tracer_sees_every_spectral_call():
+    # each Newton-type step decomposes its Hessian once and applies the
+    # reflected inverse once, through names the tracer wraps
+    tracing = load_tracing()
+    for obj, x0, cap in ((make_benchmark("rosenbrock", 2), ROSENBROCK2_X0, 5),
+                         (make_benchmark("griewank", 15), GRIEWANK15_X0, 3)):
+        with tracing.Tracer().installed() as tracer:
+            for method in ("nqn", "nqn-backtracking", "newton",
+                           "random-damping-newton"):
+                trace = run(method, obj, x0, stop=StopCriteria(max_iter=cap),
+                            seed=1)
+                assert trace.iterations == cap
+        calls = Counter(span.name for span in tracer.spans)
+        assert calls["spectral.eigh"] == calls["objectives.hessian"] \
+            == calls["spectral.reflect_inverse_apply"] == 4 * cap
+        # the shifted steps: nqn's and nqn-backtracking's
+        assert calls["optimizers.select_delta"] == 2 * cap
+        assert {span.size for span in tracer.spans
+                if span.name == "spectral.eigh"} == {obj.dim}
 
 
 # ---------------------------------------------------------------------------

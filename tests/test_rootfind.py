@@ -198,7 +198,7 @@ def test_hessian_spectrum_matches_the_complex_formula(key):
         gv, g1, g2 = m.eval_all(complex(rec.x[0], rec.x[1]))
         s, r = abs(g1) ** 2, abs(gv * g2)
         want = np.array([2.0 * (s - r), 2.0 * (s + r)])
-        lam = eigh(obj.hessian(rec.x)).eigenvalues
+        lam, _ = eigh(obj.hessian(rec.x))
         assert np.max(np.abs(lam - want)) <= 16 * EPS * want[1]
 
 
