@@ -12,7 +12,6 @@ escape them.
 
 import cmath
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .objectives.base import Objective
-from .optimizers import DeltaSchedule, StopCriteria, Trace, run
+from .optimizers import Trace, run
 
 ROOT_TOL = 1e-8
 POLE_GUARD = 1e50

@@ -10,9 +10,8 @@ from qnewton.errors import DomainError, InvalidInputError
 from qnewton.objectives import (Objective, catalog_entries, catalog_listing,
                                 default_start, fd_gradient, fd_hessian,
                                 make_benchmark, make_stochastic_griewank,
-                                normal_sampler, pair_coupling, parse_sequence,
-                                protein_energy, protein_objective,
-                                sample_batch_objective)
+                                pair_coupling, parse_sequence, protein_energy,
+                                protein_objective, sample_batch_objective)
 from qnewton.objectives.base import as_integer
 from qnewton.objectives.catalog import (_pairwise_exclusion_products,
                                         _rosenbrock_grad, _rosenbrock_hess,
@@ -594,10 +593,63 @@ def test_sampler_shapes_and_seeding():
     assert not np.array_equal(xi1, s.sample_xi(1))
 
 
-def test_normal_sampler_stream():
-    sampler = normal_sampler(mean=1.0, sigma=0.25)
+def test_sample_xi_mean_and_spread():
     s = make_stochastic_griewank(dim=2, batch_size=4000, sigma=0.25, seed=3)
     xi = s.sample_xi(0)
     assert abs(float(np.mean(xi)) - 1.0) < 0.05
     assert abs(float(np.std(xi)) - 0.25) < 0.05
-    assert callable(sampler)
+
+
+def _philox_normal(seed, step_index, sample_index):
+    # reference draw: a fresh Philox and Generator per sample
+    bits = np.random.Philox(key=int(seed) & (2 ** 64 - 1),
+                            counter=[0, 0, int(step_index), int(sample_index)])
+    return float(np.random.Generator(bits).standard_normal())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 1016164991, 2 ** 63 + 5])
+def test_sample_xi_matches_a_fresh_philox_per_sample(seed):
+    sigma = float(np.sqrt(0.1))
+    for step in (0, 1, 7, 49, 1000):
+        for count in (1, 10, 500):
+            s = make_stochastic_griewank(dim=2, batch_size=count,
+                                         sigma=sigma, seed=seed)
+            want = np.array([1.0 + sigma * _philox_normal(seed, step, i)
+                             for i in range(count)])
+            assert s.sample_xi(step).tobytes() == want.tobytes()
+
+
+def _pair_loop_hessian(xi, x):
+    # reference batch Hessian: one masked product and 1-d mean per pair
+    n = x.size
+    idx = np.arange(1, n + 1, dtype=float)
+    rs = np.sqrt(idx)
+    U = np.outer(xi, x / rs)
+    C, S = np.cos(U), np.sin(U)
+    H = np.empty((n, n))
+    xi2 = xi * xi
+    for a in range(n):
+        for b in range(a + 1, n):
+            mask = np.ones(n, dtype=bool)
+            mask[a] = mask[b] = False
+            pab = np.prod(C[:, mask], axis=1)
+            H[a, b] = H[b, a] = -float(
+                np.mean(xi2 * S[:, a] * S[:, b] * pab)) / (rs[a] * rs[b])
+    np.fill_diagonal(H, float(np.mean(xi * xi)) / 2000.0
+                     + float(np.mean(xi2 * np.prod(C, axis=1))) / idx)
+    return H
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10, 15, 30])
+def test_batch_hessian_matches_the_pair_loop(dim):
+    rng = np.random.default_rng(dim)
+    # batch 2000 at dim 30 splits the 435 pairs into blocks of 18
+    for batch in (2000,) if dim == 30 else (1, 7, 100, 500):
+        s = make_stochastic_griewank(dim=dim, batch_size=batch, seed=1)
+        blocks = 0 if dim == 1 else 25 if dim == 30 else 1
+        assert len(s._pair_blocks) == blocks
+        for _ in range(10):
+            xi = 1.0 + rng.uniform(0.0, 2.0) * rng.standard_normal(batch)
+            x = rng.uniform(-20.0, 20.0, dim)
+            got = s.make_batch(xi).hessian(x)
+            assert got.tobytes() == _pair_loop_hessian(xi, x).tobytes()
