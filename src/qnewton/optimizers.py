@@ -11,7 +11,8 @@ reflection turns saddles into repellers instead of attractors.
 Also here: the backtracking variant (shift floor plus Armijo halving, which
 buys monotone function values), classical Newton, randomly damped Newton,
 and a two-way backtracking gradient descent, all driven by one loop with a
-shared trace format.
+shared trace format.  Both line searches probe through ``_armijo`` and
+step to their last passing probe, returning its value.
 
 Each Newton-type step makes the same calls at every size.  ``nqn`` and
 ``nqn-backtracking`` call ``select_delta``, which decomposes the Hessian
@@ -316,13 +317,16 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
-def _probe(obj, x):
-    """f(x) at a line-search probe, or NaN (which fails every Armijo test)
-    if f raises one of the _PROBE_FAILURES there."""
+def _armijo(obj, x, f, d, slope, t):
+    """Probe x1 = x - t*d: (x1, f(x1), whether f(x1) - f <= -t/2 * slope).
+    f(x1) is NaN, failing that Armijo test, if f raises one of the
+    _PROBE_FAILURES there; ``slope`` is <d, grad f(x)>."""
+    x1 = x - t * d
     try:
-        return obj.value(x)
+        f1 = obj.value(x1)
     except _PROBE_FAILURES:
-        return math.nan
+        f1 = math.nan
+    return x1, f1, f1 - f <= -0.5 * t * slope
 
 
 # Step contract: step(obj, x, f(x), grad f(x), |grad f(x)|, sched, rng,
@@ -342,18 +346,18 @@ def nqn_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
 def nqn_backtracking_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     """Shifted-reflected update with an eigenvalue floor and Armijo halving.
 
-    The floor keeps |A^-1| bounded by 2/(min_gap*h); halving the step until
-    f(x - beta*w) <= f(x) - beta/2 * <w, grad f> then guarantees descent.
-    A probe at which f raises (a pole, an overflow) fails the test.
+    The floor keeps |A^-1| bounded by 2/(min_gap*h); halving beta until
+    the probe x - beta*w passes ``_armijo`` with slope <w, grad f> then
+    guarantees descent.  A probe at which f raises (a pole, an overflow)
+    fails the test.
     """
     delta, lam, V = select_delta(obj.hessian(x), gn, sched, rng, floor=True)
     w = reflect_inverse_apply(lam, V, g)
     wg = float(w @ g)            # nonnegative by construction
     beta = 1.0
     for halvings in range(_MAX_HALVINGS + 1):
-        x1 = x - beta * w
-        f1 = _probe(obj, x1)
-        if f1 - f <= -0.5 * beta * wg:
+        x1, f1, passed = _armijo(obj, x, f, w, wg, beta)
+        if passed:
             return x1, f1, delta, beta * _norm(w), halvings
         beta *= 0.5
     raise StalledLineSearchError(
@@ -383,41 +387,38 @@ def backtracking_gd_step(obj, x, f, g, gn, sched=None, rng=None, state=None):
     The learning rate carries over between iterations; each iteration may
     grow it (divide by 0.7 while the Armijo test keeps passing, up to
     max(1, grad_norm^-1/2)) or shrink it (multiply by 0.7 until the test
-    passes).  Armijo test: f(x - lr*g) - f(x) <= -lr/2 * |g|^2; a probe at
-    which f raises fails it.  Shrinking stops with StalledLineSearchError
+    passes).  Each probe x - lr*g is ``_armijo``'s with slope |g|^2; a probe
+    at which f raises fails it.  Shrinking stops with StalledLineSearchError
     once the step lr*|g| is at most eps*max(1, |x|): relative to |x| when
-    |x| > 1, an absolute floor of eps when |x| <= 1.  The accepted probe's
-    value is returned as f_next.
+    |x| > 1, an absolute floor of eps when |x| <= 1.  The step is the last
+    passing probe, returned with its value as f_next.
     """
     state = state if state is not None else {}
     gg = gn * gn
-    probed = {}                  # learning rate -> f(x - lr*g)
-
-    def armijo(lr):
-        probed[lr] = _probe(obj, x - lr * g)
-        return probed[lr] - f <= -0.5 * lr * gg
-
     cap = max(1.0, gn ** -0.5) if gn > 0 else 1.0
     lr = min(float(state.get("lr", 1.0)), cap)
     backtracks = 0
-    if armijo(lr):
+    x1, f1, passed = _armijo(obj, x, f, g, gg, lr)
+    if passed:
         for _ in range(_GD_MAX_GROWS):
             trial = lr / 0.7
-            if trial > cap or not armijo(trial):
+            if trial > cap:
                 break
-            lr = trial
+            xt, ft, passed = _armijo(obj, x, f, g, gg, trial)
+            if not passed:
+                break
+            lr, x1, f1 = trial, xt, ft
     else:
         floor = _EPS * max(1.0, _norm(x))
-        while True:
+        while not passed:
             lr *= 0.7
             if lr * gn <= floor:
                 raise StalledLineSearchError(
                     f"no Armijo learning rate after {backtracks} shrinks")
             backtracks += 1
-            if armijo(lr):
-                break
+            x1, f1, passed = _armijo(obj, x, f, g, gg, lr)
     state["lr"] = lr
-    return x - lr * g, probed[lr], lr, lr * gn, backtracks
+    return x1, f1, lr, lr * gn, backtracks
 
 
 METHODS = {

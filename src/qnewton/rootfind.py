@@ -4,10 +4,10 @@ A complex function g becomes the real objective f(x, y) = |g(x+iy)|^2.  The
 Cauchy-Riemann identities collapse f's gradient and Hessian to three complex
 quantities (conj(g)*g', |g'|^2, conj(g)*g''), so exact derivatives come for
 free once g' and g'' are supplied.  Minimizing f with the shifted-reflected
-Newton update walks to f = 0 — a root of g — and the terminal point is then
-classified: roots of f=|g|^2 keep f=0, while other critical points are
-saddles of f whenever g*g'' is nonzero there, which is what lets the method
-escape them.
+Newton update walks to f = 0 — a root of g — and ``classify_critical_point``
+labels the terminal point from the run's cached (g, g', g''): roots of
+f=|g|^2 keep f=0, while other critical points are saddles of f whenever
+g*g'' is nonzero there, which is what lets the method escape them.
 """
 
 import cmath
@@ -139,12 +139,7 @@ def classify_critical_point(m, z):
     is a saddle of f (the Hessian there has determinant -|g*g''|^2 < 0);
     anything else is reported degenerate rather than guessed.
     """
-    return _classify(m.eval_all(complex(z)))
-
-
-def _classify(triple):
-    """classify_critical_point's label from (g, g', g'') at the point."""
-    gv, g1, g2 = triple
+    gv, g1, g2 = m.eval_all(complex(z))
     if abs(gv) <= ROOT_TOL:
         return "root-of-g"
     if abs(g1) <= ROOT_TOL and abs(gv * g2) > ROOT_TOL:
@@ -162,7 +157,8 @@ def find_root(m, z0, method="nqn", sched=None, stop=None, seed=None):
     if trace.termination == "diverged":
         classification = "diverged"
     else:       # the cache holds the end point unless a probe came last
-        classification = _classify(at(trace.final_x))
+        end = _TripleMero(m.g, m.g1, m.g2, triple=lambda z: at(trace.final_x))
+        classification = classify_critical_point(end, zf)
     return RootResult(z=zf, f_value=trace.final_f,
                       classification=classification, trace=trace)
 

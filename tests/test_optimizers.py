@@ -376,6 +376,18 @@ def test_the_tracer_sees_every_spectral_call():
                 if span.name == "spectral.eigh"} == {obj.dim}
 
 
+def test_the_tracer_sees_every_root_classification():
+    # find_root classifies its end point through classify_critical_point,
+    # the name the tracer wraps; a diverged run is not classified
+    tracing = load_tracing()
+    for key, z0 in sorted(ROOT_STARTS.items()):
+        with tracing.Tracer().installed() as tracer:
+            res = find_root(builtin(key.split("-")[0]), z0)
+        spans = [s for s in tracer.spans if s.name == "rootfind.classify"]
+        want = 0 if res.trace.termination == "diverged" else 1
+        assert len(spans) == want, key
+
+
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
@@ -483,9 +495,13 @@ def test_backtracking_gd_grows_to_cap_on_shallow_slope():
     obj = Objective(1, lambda x: 0.01 * x[0],
                     gradient=lambda x: np.array([0.01]), name="shallow")
     state = {}
-    backtracking_gd_step(obj, *at(obj, [0.0]), state=state)
+    x1, f1, lr, _, _ = backtracking_gd_step(obj, *at(obj, [0.0]),
+                                            state=state)
     cap = 0.01 ** -0.5
-    assert 1.0 < state["lr"] <= cap
+    assert 1.0 < state["lr"] == lr <= cap
+    # the step is the last passing probe, not the first
+    assert x1[0] == -lr * 0.01
+    assert f1 == obj.value(x1)
 
 
 def test_backtracking_gd_learning_rate_persists():
