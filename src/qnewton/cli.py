@@ -78,15 +78,27 @@ def _names(table):
     return names
 
 
-def _registered_start(function):
-    """The catalog start of ``function``, as a one-point list."""
-    # stochastic-griewank is built outside the catalog and registers none
-    start = (None if function == "stochastic-griewank"
-             else default_start(function))
+def _inline_spec(args, name, start, methods, stop):
+    """The spec of ``minimize`` or ``compare --function`` from ``--x0``.
+
+    With no ``--x0`` (``start`` None) the run takes the registered start.
+    An explicit point with no ``--dim`` sets a parametric objective's dim.
+    """
+    dim = args.dim
     if start is None:
-        raise InvalidInputError(
-            f"{function} has no registered start point; pass --x0")
-    return [start]
+        # stochastic-griewank is built outside the catalog and registers none
+        registered = (None if args.function == "stochastic-griewank"
+                      else default_start(args.function))
+        if registered is None:
+            raise InvalidInputError(
+                f"{args.function} has no registered start point; pass --x0")
+        start = [registered]
+    elif dim is None and not isinstance(start, dict):
+        dim = len(start[0])
+    return build_spec(
+        name=name, objective=args.function,
+        params={} if dim is None else {"dim": dim}, initial_points=start,
+        methods=methods, stop=stop, seed=args.seed)
 
 
 def _stop_from(args):
@@ -96,22 +108,16 @@ def _stop_from(args):
 
 def cmd_minimize(args):
     if args.list_functions:
-        listing = catalog_listing()
-        sys.stdout.write(listing if listing.endswith("\n") else listing + "\n")
+        sys.stdout.write(catalog_listing() + "\n")
         return 0
 
-    dim = args.dim
-    start = args.x0 or _registered_start(args.function)
+    start = args.x0
     if isinstance(start, dict):
         start = dict(start, box=[-args.x0_box, args.x0_box])
-    elif args.x0 and dim is None:
-        dim = len(start[0])       # an explicit point sets a parametric dim
-    spec = build_spec(
-        name=args.function, objective=args.function,
-        params={} if dim is None else {"dim": dim}, initial_points=start,
-        methods=[{"method": args.method, "deltas": args.delta_set,
-                  "alpha": args.alpha}],
-        stop=_stop_from(args), seed=args.seed)
+    spec = _inline_spec(
+        args, args.function, start,
+        [{"method": args.method, "deltas": args.delta_set,
+          "alpha": args.alpha}], _stop_from(args))
 
     slug = args.function.replace(":", "-")
     out = (Path(args.out) if args.out
@@ -134,16 +140,9 @@ def cmd_compare(args):
     elif args.spec:
         spec = ExperimentSpec.from_json(Path(args.spec).read_text())
     else:
-        # as in minimize, an explicit point sets a parametric dim
-        dim = len(args.x0[0]) if args.x0 and args.dim is None else args.dim
-        spec = build_spec(
-            name="compare-" + args.function.replace(":", "-"),
-            objective=args.function,
-            params={} if dim is None else {"dim": dim},
-            initial_points=args.x0 or _registered_start(args.function),
-            methods=args.methods,
-            stop={"max_iter": args.max_iter, "grad_tol": args.gtol},
-            seed=args.seed)
+        spec = _inline_spec(
+            args, "compare-" + args.function.replace(":", "-"), args.x0,
+            args.methods, {"max_iter": args.max_iter, "grad_tol": args.gtol})
     if args.out:
         spec = replace(spec, out_dir=args.out)
 
@@ -179,6 +178,15 @@ def cmd_bench(args):
     return 0
 
 
+def _add_stop_flags(p):
+    p.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
+    p.add_argument("--gtol", type=float, default=1e-10,
+                   help="stop when the gradient norm falls to this")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="seed of random-damping-newton's draws and of "
+                        "stochastic-griewank's samples")
+
+
 def _add_run_flags(p):
     p.add_argument("--method", default="nqn", choices=list(METHODS),
                    help="optimizer to run")
@@ -186,14 +194,9 @@ def _add_run_flags(p):
                    help="comma-separated shift coefficients, tried in order")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="exponent in the shift size h(t) = min{1, t^(1+alpha)}")
-    p.add_argument("--max-iter", type=int, default=1000,
-                   help="iteration cap")
-    p.add_argument("--gtol", type=float, default=1e-10,
-                   help="stop when the gradient norm falls to this")
+    _add_stop_flags(p)
     p.add_argument("--xtol", type=float, default=1e-20,
                    help="stop when the step norm falls to this")
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="seed for any randomized method choices")
 
 
 def _build_parser():
@@ -255,11 +258,7 @@ def _build_parser():
                         "flag for several starts")
     p.add_argument("--dim", type=int, default=None,
                    help="dimension for size-parametric objectives")
-    p.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
-    p.add_argument("--gtol", type=float, default=1e-10,
-                   help="stop when the gradient norm falls to this")
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="base seed for randomized methods and drawn starts")
+    _add_stop_flags(p)
     p.add_argument("--out", default=None,
                    help="directory for traces and rows.csv "
                         "(default: <results>/<experiment-name>)")

@@ -273,9 +273,7 @@ def emit_report(rows, format="csv"):
         writer.writerows(cells)
         return out.getvalue()
     if format == "markdown":
-        widths = [max(len(col), *(len(row[i]) for row in cells), 1)
-                  if cells else len(col)
-                  for i, col in enumerate(_COLUMNS)]
+        widths = [max(map(len, column)) for column in zip(_COLUMNS, *cells)]
         def line(vals):
             return "| " + " | ".join(v.ljust(w)
                                      for v, w in zip(vals, widths)) + " |"

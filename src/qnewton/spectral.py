@@ -12,14 +12,13 @@ Jacobi rotation, the symmetric Schur decomposition (Golub & Van Loan,
 overflow or in the subnormal range is scaled by a power of two first, so it
 keeps its accuracy.  Its eigenvalues are within 8*eps*max|A| of LAPACK's
 (plus the spacing of the subnormal grid), and its eigenvectors, nested
-lists of columns, are orthonormal to 8*eps, each with its largest-magnitude
-component nonnegative (the first one on a tie).  Every other size goes
-through LAPACK's divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh``
-calls it and keeps LAPACK's eigenvector array and signs.  No result reads a
-sign: ``reflect_inverse_apply`` uses each e_i twice and negation is exact, so
-flipping a column leaves its output unchanged bit for bit.  For identical
-input and a fixed BLAS thread count the output is deterministic bit for
-bit, so runs replay exactly.
+lists of columns, are orthonormal to 8*eps.  Every other size goes through
+LAPACK's divide-and-conquer ``syevd`` as numpy's ``np.linalg.eigh`` calls it
+and keeps LAPACK's eigenvector array.  No size promises an eigenvector's
+sign, and no result reads one: ``reflect_inverse_apply`` uses each e_i twice
+and negation is exact, so flipping a column leaves its output unchanged bit
+for bit.  For identical input and a fixed BLAS thread count the output is
+deterministic bit for bit, so runs replay exactly.
 
 ``reflect_inverse_apply`` implements the core update arithmetic: given the
 eigenvalues and eigenvectors of an invertible symmetric A and a vector
@@ -74,23 +73,19 @@ def _rotate2(a, b, d):
     c = 1.0 / math.sqrt(1.0 + t * t)
     s = t * c
     l1, l2 = a - t * b, d + t * b
-    # |t| <= 1, so |s| <= c: c is the largest component of both columns,
-    # except on the tie s = -c, where the first component of (s, c) wins
-    # and the column is negated.
-    v1, v2 = (c, -s), ((-s, -c) if s == -c else (s, c))
     if l2 < l1:
-        l1, l2, v1, v2 = l2, l1, v2, v1
-    return [l1, l2], [[v1[0], v2[0]], [v1[1], v2[1]]]
+        return [l2, l1], [[s, c], [c, -s]]
+    return [l1, l2], [[c, s], [-s, c]]
 
 
 def _schur2(a, b, d):
     """Eigenpairs of [[a, b], [b, d]]: the symmetric Schur decomposition.
 
-    Returns ([l1, l2], [[v1x, v2x], [v1y, v2y]]) with l1 <= l2 and the sign
-    convention applied.  Off-diagonal 0 gives the diagonal and the
-    identity.  Entries outside the safe range are first scaled by a power
-    of two, which is exact for normal floats, so that d - a and 2b cannot
-    overflow and subnormal entries keep their precision.
+    Returns ([l1, l2], [[v1x, v2x], [v1y, v2y]]) with l1 <= l2.
+    Off-diagonal 0 gives the diagonal and the identity.  Entries outside
+    the safe range are first scaled by a power of two, which is exact for
+    normal floats, so that d - a and 2b cannot overflow and subnormal
+    entries keep their precision.
     """
     if b == 0.0:
         return _diagonal2(a, d)

@@ -126,16 +126,6 @@ def test_random_matrices_orthonormal_and_reconstruct():
         assert np.max(np.abs(recon - A)) <= bound
 
 
-def test_sign_convention_on_random_matrices():
-    # the convention holds at n = 2 only; other sizes keep LAPACK's signs
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        B = rng.uniform(-10.0, 10.0, (2, 2))
-        V = np.array(eigh(0.5 * (B + B.T))[1])
-        for j in range(2):
-            assert V[int(np.argmax(np.abs(V[:, j]))), j] >= 0.0
-
-
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("n", range(1, 21))
 def test_reflect_ignores_eigenvector_signs(n, signed):
