@@ -4,9 +4,10 @@ Four subcommands: ``minimize`` runs one optimizer on one objective and
 writes its iteration trace, ``compare`` runs a method grid and prints a
 report table, ``roots`` searches for roots of a complex function by
 minimizing its squared modulus, and ``bench`` executes the named
-reproduction suites.  Exit code 2 means the invocation itself was invalid:
-argparse rejects a malformed flag with the subcommand's usage, and any other
-invalid value raises InvalidInputError, which ``main`` reports as ``error:``.
+reproduction suites and experiment documents.  Exit code 2 means the
+invocation itself was invalid: argparse rejects a malformed or unknown flag
+with the subcommand's usage, and any other invalid value raises
+InvalidInputError, which ``main`` reports as ``error:``.
 A run that diverges or hits a numerical error still exits 0 with the
 termination status in the output, because divergence is a result, not a
 failure of the tool.
@@ -25,6 +26,20 @@ from .objectives import catalog_listing, default_start
 from .optimizers import METHODS, DeltaSchedule, StopCriteria
 from .rootfind import (BUILTINS, builtin, find_root, parse_poly_coeffs,
                        poly_mero)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an unknown flag exits 2 with its own usage.
+
+    argparse alone reports a subcommand's unknown flag from the top-level
+    parser, with the top-level usage.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _floats(text):
@@ -112,7 +127,9 @@ def cmd_minimize(args):
         return 0
 
     start = args.x0
-    if isinstance(start, dict):
+    if args.x0_box is not None:
+        if not isinstance(start, dict):
+            raise InvalidInputError("--x0-box needs --x0 random:<seed>")
         start = dict(start, box=[-args.x0_box, args.x0_box])
     spec = _inline_spec(
         args, args.function, start,
@@ -133,16 +150,9 @@ def cmd_minimize(args):
 
 
 def cmd_compare(args):
-    if args.suite:
-        spec = suite_spec(args.suite)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-    elif args.spec:
-        spec = ExperimentSpec.from_json(Path(args.spec).read_text())
-    else:
-        spec = _inline_spec(
-            args, "compare-" + args.function.replace(":", "-"), args.x0,
-            args.methods, {"max_iter": args.max_iter, "grad_tol": args.gtol})
+    spec = _inline_spec(
+        args, "compare-" + args.function.replace(":", "-"), args.x0,
+        args.methods, {"max_iter": args.max_iter, "grad_tol": args.gtol})
     if args.out:
         spec = replace(spec, out_dir=args.out)
 
@@ -166,9 +176,23 @@ def cmd_roots(args):
     return 0
 
 
+def _spec_file(path):
+    """The spec of one ``bench --spec`` document."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read spec {path}: {exc}") from None
+    return ExperimentSpec.from_json(text)
+
+
 def cmd_bench(args):
-    specs = [suite_spec(name) for name in args.suites]
+    # every spec is built before the first run, so a bad one writes nothing
+    suites = args.suites or ([] if args.spec else list(SUITES))
+    specs = ([suite_spec(name) for name in suites]
+             + [_spec_file(path) for path in args.spec or ()])
     for spec in specs:
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
         if args.out:
             spec = replace(spec, out_dir=str(Path(args.out) / spec.name))
         rows = run_experiment(spec)
@@ -179,8 +203,9 @@ def cmd_bench(args):
 
 
 def _add_stop_flags(p):
-    p.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
-    p.add_argument("--gtol", type=float, default=1e-10,
+    p.add_argument("--max-iter", type=int, default=StopCriteria.max_iter,
+                   help="iteration cap")
+    p.add_argument("--gtol", type=float, default=StopCriteria.grad_tol,
                    help="stop when the gradient norm falls to this")
     p.add_argument("--seed", type=_seed, default=None,
                    help="seed of random-damping-newton's draws and of "
@@ -190,12 +215,12 @@ def _add_stop_flags(p):
 def _add_run_flags(p):
     p.add_argument("--method", default="nqn", choices=list(METHODS),
                    help="optimizer to run")
-    p.add_argument("--delta-set", type=_floats, default="0,1,-1",
+    p.add_argument("--delta-set", type=_floats, default=DeltaSchedule.deltas,
                    help="comma-separated shift coefficients, tried in order")
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--alpha", type=float, default=DeltaSchedule.alpha,
                    help="exponent in the shift size h(t) = min{1, t^(1+alpha)}")
     _add_stop_flags(p)
-    p.add_argument("--xtol", type=float, default=1e-20,
+    p.add_argument("--xtol", type=float, default=StopCriteria.step_tol,
                    help="stop when the step norm falls to this")
 
 
@@ -208,7 +233,8 @@ def _build_parser():
                     "root finding.",
         epilog="Result files go under ./results by default; set the "
                "QNEWTON_RESULTS environment variable to move them.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser(
@@ -228,8 +254,9 @@ def _build_parser():
                         "the first coordinate is negative), or random:<seed> "
                         "for a uniform draw; defaults to the registered "
                         "start")
-    p.add_argument("--x0-box", type=float, default=2.0,
-                   help="half-width of the cube random:<seed> draws from")
+    p.add_argument("--x0-box", type=float, default=None,
+                   help="half-width of the cube random:<seed> draws from; "
+                        "None takes build_spec's drawn-start box")
     p.add_argument("--dim", type=int, default=None,
                    help="dimension for size-parametric objectives")
     _add_run_flags(p)
@@ -241,16 +268,11 @@ def _build_parser():
     p = sub.add_parser(
         "compare", formatter_class=fmt,
         help="run a grid of methods and print a report table",
-        description="Run a method-by-start grid from a named suite, a JSON "
-                    "spec file, or inline flags, and print the result "
-                    "table.")
-    what = p.add_mutually_exclusive_group(required=True)
-    what.add_argument("--suite", default=None, choices=sorted(SUITES),
-                      help="named reproduction suite")
-    what.add_argument("--spec", default=None,
-                      help="path to an experiment JSON document")
-    what.add_argument("--function", default=None,
-                      help="objective identifier for an inline comparison")
+        description="Run a method-by-start grid on one objective, given "
+                    "by inline flags, and print the result table.  Named "
+                    "suites and experiment documents run under bench.")
+    p.add_argument("--function", required=True,
+                   help="objective identifier, e.g. rosenbrock, griewank")
     p.add_argument("--methods", type=_names(METHODS), default="all",
                    help="comma-separated method ids, or 'all'")
     p.add_argument("--x0", type=_floats, action="append", default=None,
@@ -290,14 +312,23 @@ def _build_parser():
 
     p = sub.add_parser(
         "bench", formatter_class=fmt,
-        help="run the named reproduction suites",
-        description="Run reproduction suites and print one markdown table "
-                    "per suite.  Available: " + ", ".join(sorted(SUITES)) + ".")
-    p.add_argument("--suites", type=_names(SUITES), default="all",
+        help="run named reproduction suites and saved experiments",
+        description="Run reproduction suites and experiment documents, and "
+                    "print one markdown table per experiment.  With neither "
+                    "--suites nor --spec, every suite runs.  Suites: "
+                    + ", ".join(sorted(SUITES)) + ".")
+    p.add_argument("--suites", type=_names(SUITES), default=None,
                    help="comma-separated suite names, or 'all'")
+    p.add_argument("--spec", action="append", default=None,
+                   help="path to an experiment JSON document, such as an "
+                        "experiment.json a run wrote; repeat the flag for "
+                        "several")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="replaces each experiment's seed")
     p.add_argument("--out", default=None,
-                   help="base directory for suite outputs "
-                        "(default: <results>/<suite-name>)")
+                   help="base directory for experiment outputs (default: "
+                        "the document's out_dir, else "
+                        "<results>/<experiment-name>)")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -682,7 +682,7 @@ def make_benchmark(name, dim=None, params=None):
         dim = as_integer(dim, "dim")
         if dim < entry.min_dim:
             raise InvalidInputError(
-                f"{entry.ident} needs dim >= {entry.min_dim}, got {dim}")
+                f"{name} needs dim >= {entry.min_dim}, got {dim}")
     size = entry.default_dim if dim is None or entry.fixed_dim else dim
     try:
         if params:          # only params can fail to bind

@@ -1,10 +1,21 @@
 import csv
 import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from qnewton.cli import _build_parser, main
+from qnewton.harness import ExperimentSpec, suite_spec
+from qnewton.optimizers import METHODS
 from qnewton.rootfind import BUILTINS
 
 
@@ -106,6 +117,8 @@ def test_minimize_list_functions(capsys):
     ["minimize"],                                        # no function
     ["minimize", "--function", "rosenbrock", "--x0", "random:1",
      "--x0-box", "nan"],                                 # NaN drawn-start box
+    ["minimize", "--function", "rosenbrock", "--x0=-1.2,1",
+     "--x0-box", "9"],                                   # box, no drawn start
 ])
 def test_minimize_bad_invocations_exit_2(argv, capsys, tmp_path):
     assert run_cli(argv) == 2
@@ -119,7 +132,7 @@ def test_minimize_bad_invocations_exit_2(argv, capsys, tmp_path):
      "--out", "{out}/r.csv"],
     ["minimize", "--function", "rosenbrock", "--x0", "random:-3",
      "--out", "{out}/t.csv"],
-    ["compare", "--suite", "rosenbrock2", "--seed", "-1", "--out", "{out}"],
+    ["bench", "--suites", "rosenbrock2", "--seed", "-1", "--out", "{out}"],
 ])
 def test_negative_seed_exits_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QNEWTON_RESULTS", str(tmp_path / "results"))
@@ -208,7 +221,21 @@ def test_compare_takes_the_dim_from_x0(tmp_path, capsys):
     assert doc["params"] == {"dim": 5}
 
 
-def test_compare_spec_file(tmp_path, capsys):
+def test_compare_dim_error_names_the_objective_as_written(tmp_path, capsys):
+    # rosenbrock is the catalog's ex18
+    code = run_cli(["compare", "--function", "rosenbrock", "--dim", "0",
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: rosenbrock needs dim >= 2, got 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# experiment documents, run by bench --spec
+# ---------------------------------------------------------------------------
+
+def test_bench_spec_file(tmp_path, capsys):
     from qnewton.harness import build_spec
 
     spec = build_spec(name="fromfile", objective="ex13",
@@ -216,10 +243,11 @@ def test_compare_spec_file(tmp_path, capsys):
                       stop={"max_iter": 100}, out_dir=str(tmp_path / "runs"))
     doc = tmp_path / "spec.json"
     doc.write_text(spec.to_json())
-    code = run_cli(["compare", "--spec", str(doc), "--format", "csv"])
+    code = run_cli(["bench", "--spec", str(doc)])
     out, _ = capsys.readouterr()
     assert code == 0
-    row, = read_rows(out)
+    assert out.startswith("## fromfile\n")
+    row, = read_rows((tmp_path / "runs" / "rows.csv").read_text())
     assert row["objective"] == "ex13"
     assert row["termination"] == "converged"
 
@@ -264,7 +292,7 @@ def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
            "out_dir": str(tmp_path / "runs"), **change}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    assert run_cli(["compare", "--spec", str(path)]) == 2
+    assert run_cli(["bench", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "runs").exists()
 
@@ -273,7 +301,7 @@ def test_unknown_spec_key_is_named(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"objective": "ex13", "sed": 7,
                                 "initial_points": [[0.5, 0.5]]}))
-    assert run_cli(["compare", "--spec", str(path)]) == 2
+    assert run_cli(["bench", "--spec", str(path)]) == 2
     assert capsys.readouterr().err == "error: unknown spec keys ['sed']\n"
 
 
@@ -281,7 +309,7 @@ def test_unknown_spec_key_is_named(tmp_path, capsys):
 def test_compare_malformed_spec_document_exits_2(text, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(text)
-    assert run_cli(["compare", "--spec", str(path)]) == 2
+    assert run_cli(["bench", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -294,6 +322,25 @@ def test_compare_malformed_spec_document_exits_2(text, tmp_path, capsys):
 def test_compare_bad_invocations_exit_2(argv, capsys):
     assert run_cli(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--suites", "no-such-suite"],
+     "unknown suite 'no-such-suite'"),
+    (["bench", "--spec", "{tmp}/missing.json"], "cannot read spec"),
+    (["bench", "--spec", "{tmp}"], "cannot read spec"),    # a directory
+    (["bench", "--suites", "rosenbrock2", "--spec", "{tmp}/missing.json"],
+     "cannot read spec"),                     # read before any suite runs
+])
+def test_bench_bad_invocations_exit_2(argv, message, tmp_path, capsys,
+                                      monkeypatch):
+    monkeypatch.setenv("QNEWTON_RESULTS", str(tmp_path / "results"))
+    code = run_cli([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +404,11 @@ def test_roots_bad_invocations_exit_2(argv, capsys):
     ["roots", "--x0", "0,1"],
     ["roots", "--poly", "1,0,1", "--x0", "1"],
     ["minimize", "--function", "rosenbrock", "--list-functions"],
+    # a flag the run would not read is an unknown flag of its subcommand
+    ["minimize", "--function", "ex13", "--bogus-flag"],
+    ["compare", "--suite", "rosenbrock2", "--max-iter", "3"],
+    ["compare", "--function", "ex13", "--spec", "F", "--seed", "3"],
+    ["bench", "--suites", "rosenbrock2", "--max-iter", "3"],
 ])
 def test_usage_error_prints_the_subcommand_usage(argv, capsys):
     assert run_cli(argv) == 2
@@ -365,19 +417,173 @@ def test_usage_error_prints_the_subcommand_usage(argv, capsys):
 
 
 def test_bench_one_suite(tmp_path, capsys):
-    code = run_cli(["bench", "--suites", "rosenbrock2",
+    code = run_cli(["bench", "--suites", "rosenbrock2", "--seed", "9",
                     "--out", str(tmp_path)])
     out, _ = capsys.readouterr()
     assert code == 0
     assert out.startswith("## rosenbrock2\n")
     assert "| method" in out
     assert (tmp_path / "rosenbrock2" / "rows.csv").exists()
+    doc = json.loads((tmp_path / "rosenbrock2" / "experiment.json").read_text())
+    assert doc["seed"] == 9
 
 
 def test_help_shows_defaults(capsys):
     assert run_cli(["minimize", "--help"]) == 0
     out, _ = capsys.readouterr()
-    assert "0,1,-1" in out
+    assert "(0.0, 1.0, -1.0)" in out
     assert run_cli(["--help"]) == 0
     out, _ = capsys.readouterr()
     assert "QNEWTON_RESULTS" in out
+
+
+# ---------------------------------------------------------------------------
+# every flag given to compare or bench is read by the run or rejected
+# ---------------------------------------------------------------------------
+
+# Each subcommand's flags, with (valid, malformed) values.  An example gives
+# a malformed value to about one flag in six, and to about one invocation in
+# five a flag of the other subcommand, which it must reject.  Every compare
+# gets --function and --max-iter, and bench runs only rosenbrock2 and the
+# spec files below, so that each example runs in milliseconds.
+_SEEDS = (("0", "9"), ("-1", "1.5", "nan", ""))
+_FLAGS = {
+    "compare": {
+        "--function": (("ex13", "rosenbrock", "stochastic-griewank"),
+                       ("no-such-entry", "")),
+        "--methods": (("nqn", "nqn,newton", "all"), ("bogus", ",")),
+        "--x0": (("0.3,0.4",), ("1,2,3", "nan,1", "a,b", "")),
+        "--dim": (("2",), ("3", "0", "-1", "2.5", "nan")),
+        "--max-iter": (("1", "2", "3"), ("0", "-1", "2.5", "nan")),
+        "--gtol": (("1e-10", "0", "1"), ("-1", "nan", "x")),
+        "--seed": _SEEDS,
+        "--format": (("csv", "markdown"), ("html",)),
+    },
+    "bench": {
+        "--suites": (("rosenbrock2",), ("no-such-suite", ",", "")),
+        # "." is the spec directory itself
+        "--spec": (("a.json", "b.json"), ("bad.json", "missing.json", ".")),
+        "--seed": _SEEDS,
+    },
+}
+_REPEATABLE = ("--x0", "--spec")
+_SPEC_FILES = {
+    "a.json": {"name": "spec-a", "objective": "ex13",
+               "initial_points": [[0.3, 0.4]], "methods": ["nqn", "newton"],
+               "stop": {"max_iter": 3}, "seed": 1},
+    "b.json": {"objective": "rosenbrock", "params": {"dim": 2},
+               "initial_points": {"count": 2, "box": [-1.0, 1.0],
+                                  "seed": 4},
+               "methods": ["nqn-backtracking"], "stop": {"max_iter": 2}},
+}
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    own = _FLAGS[command]
+    names = draw(st.lists(st.sampled_from(sorted(own)), unique=True,
+                          max_size=4))
+    if command == "compare":
+        names += [n for n in ("--function", "--max-iter") if n not in names]
+    if command == "bench" and not {"--suites", "--spec"} & set(names):
+        names.append(draw(st.sampled_from(("--suites", "--spec"))))
+    other, = set(_FLAGS) - {command}
+    flags = {**_FLAGS[other], **own}
+    if draw(st.integers(0, 4)) == 4:
+        names.append(draw(st.sampled_from(sorted(set(flags) - set(own)))))
+    argv = [command]
+    for name in names:
+        for _ in range(draw(st.integers(1, 2)) if name in _REPEATABLE else 1):
+            valid, malformed = flags[name]
+            pool = malformed if draw(st.integers(0, 5)) == 5 else valid
+            argv += [name, draw(st.sampled_from(pool))]
+    return argv
+
+
+def _written(root):
+    return sorted(root.rglob("*"))
+
+
+def _check_applied(argv, out, stdout):
+    """Every flag in ``argv`` has its value in the experiments written."""
+    command = argv[0]
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        given.setdefault(flag, []).append(value)
+    dropped = set(given) - set(_FLAGS[command])
+    assert not dropped, f"{command} exited 0 without reading {dropped}"
+    docs = {p.parent.name: ExperimentSpec.from_json(p.read_text())
+            for p in out.rglob("experiment.json")}
+    seed = int(given["--seed"][0]) if "--seed" in given else None
+
+    if command == "bench":
+        expected = [ExperimentSpec.from_json(json.dumps(_SPEC_FILES[v]))
+                    for v in given.get("--spec", ())]
+        if "--suites" in given:
+            expected.append(suite_spec(given["--suites"][0]))
+        assert set(docs) == {spec.name for spec in expected}
+        for spec in expected:
+            if seed is not None:
+                spec = replace(spec, seed=seed)
+            assert docs[spec.name] == replace(spec,
+                                              out_dir=str(out / spec.name))
+        return
+
+    spec, = docs.values()
+    assert spec.out_dir == str(out)
+    assert spec.objective == given["--function"][0]
+    assert spec.stop.max_iter == int(given["--max-iter"][0])
+    assert spec.seed == seed
+    if "--gtol" in given:
+        assert spec.stop.grad_tol == float(given["--gtol"][0])
+    if "--dim" in given:
+        assert spec.params["dim"] == int(given["--dim"][0])
+    if "--methods" in given:
+        text = given["--methods"][0]
+        assert [m.method for m in spec.methods] == (
+            list(METHODS) if text == "all" else text.split(","))
+    if "--x0" in given:
+        starts = [[float(v) for v in x0.split(",")] for x0 in given["--x0"]]
+        assert np.array_equal(spec.initial_points, starts, equal_nan=True)
+    report = given.get("--format", ["markdown"])[0]
+    assert stdout.startswith("method," if report == "csv" else "| method")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim 3
+@settings(max_examples=120, deadline=None)
+@given(argv=_invocations())
+@example(argv=["compare", "--spec", "a.json", "--max-iter", "2"])
+@example(argv=["compare", "--spec", "missing.json", "--max-iter", "3"])
+@example(argv=["bench", "--suites", "rosenbrock2", "--seed", "9"])
+@example(argv=["bench", "--spec", "a.json", "--spec", ".", "--seed", "3"])
+def test_every_flag_is_read_or_rejected(argv):
+    # exit 0 with each flag's value in every experiment.json written, or
+    # exit 2 with one error: line and nothing written; never exit 1
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        specs = work / "specs"
+        specs.mkdir()
+        for name, doc in _SPEC_FILES.items():
+            (specs / name).write_text(json.dumps(doc))
+        (specs / "bad.json").write_text("{bad json")
+        out = work / "out"
+        full = [str(specs / a) if flag == "--spec" else a
+                for flag, a in zip(["", *argv], argv)]
+        before = _written(work)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ,
+                             {"QNEWTON_RESULTS": str(work / "results")}), \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run_cli(full + ["--out", str(out)])
+        event(f"{argv[0]} exit {code}")
+        if code == 2:
+            err = stderr.getvalue()
+            assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+            # a usage error shows the subcommand's usage, not the top level's
+            assert (not err.startswith("usage:")
+                    or err.startswith(f"usage: qnewton {argv[0]} ")), err
+            assert _written(work) == before
+        else:
+            assert code == 0, stderr.getvalue()
+            _check_applied(argv, out, stdout.getvalue())

@@ -416,7 +416,9 @@ def test_objective_dim_below_one_is_invalid_input(dim):
 
 
 def test_parametric_dim_below_minimum_rejected():
-    with pytest.raises(InvalidInputError):
+    # the message names the objective as the caller wrote it, not ex18
+    with pytest.raises(InvalidInputError,
+                       match=r"^rosenbrock needs dim >= 2, got 1$"):
         make_benchmark("rosenbrock", 1)
 
 
