@@ -119,11 +119,11 @@ def build_spec(name, objective, params=None, initial_points=None,
                methods=("nqn",), stop=None, seed=None, out_dir=None):
     """Assemble an ExperimentSpec from loosely typed pieces.
 
-    ``initial_points`` is either an iterable of points or a dict
-    {count, box: [lo, hi], seed} drawn uniformly; ``methods`` entries are
-    method-id strings or dicts with schedule/stop overrides; ``stop`` is a
-    StopCriteria or a dict of its fields.  A malformed value raises
-    InvalidInputError.
+    ``initial_points`` is either an iterable of finite points or a dict
+    {count, box: [lo, hi], seed} drawn uniformly from its own seed, else
+    the spec's; ``methods`` entries are method-id strings or dicts with
+    schedule/stop overrides; ``stop`` is a StopCriteria or a dict of its
+    fields.  A malformed value raises InvalidInputError.
     """
     if seed is not None and as_integer(seed, "seed") < 0:
         raise InvalidInputError(
@@ -147,23 +147,34 @@ def build_spec(name, objective, params=None, initial_points=None,
         raise InvalidInputError("initial_points is required")
     try:
         if isinstance(initial_points, dict):
-            rng = np.random.default_rng(initial_points.get("seed", seed))
             lo, hi = initial_points.get("box", (-2.0, 2.0))
             # NaN, an infinite bound, or a width past the float range
             if not math.isfinite(hi - lo):
                 raise InvalidInputError(
                     f"box must have finite bounds and width, got "
                     f"[{lo!r}, {hi!r}]")
+            draw_seed = initial_points.get("seed", seed)
+            if draw_seed is None:      # default_rng(None) differs per call
+                raise InvalidInputError(
+                    "drawn initial_points need a seed, in the draw or the "
+                    "spec")
+            rng = np.random.default_rng(draw_seed)
             count = as_integer(initial_points.get("count", 1), "count")
             pts = rng.uniform(lo, hi, size=(count, dim))
         else:
             pts = np.atleast_2d(np.asarray(list(initial_points), dtype=float))
+    except InvalidInputError:
+        raise
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed initial_points: {exc}") from exc
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise InvalidInputError(
             f"initial points have shape {pts.shape[1:]}, objective has "
             f"dim {dim}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        first = pts[np.argmin(finite)].tolist()
+        raise InvalidInputError(f"initial point {first} is not finite")
 
     if not isinstance(methods, (list, tuple)):
         raise InvalidInputError(f"methods must be a list, got {methods!r}")

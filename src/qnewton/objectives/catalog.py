@@ -224,7 +224,7 @@ def _quadratic_2d(k, ident):
         def value(x):
             return float(x[0] ** 2 + x[1] ** 2 + k * x[0] * x[1])
 
-        return Objective(2, value, lambda x: H @ x, lambda x: H,
+        return Objective(2, value, lambda x: H.dot(x), lambda x: H,
                          name=ident)
 
     return factory
@@ -239,8 +239,8 @@ _H15.setflags(write=False)
 def _homogeneous_3d(dim):
     return Objective(
         3,
-        lambda x: float(0.5 * x @ (_H15 @ x)),
-        lambda x: _H15 @ x,
+        lambda x: float((0.5 * x).dot(_H15.dot(x))),
+        lambda x: _H15.dot(x),
         lambda x: _H15,
         name="ex15")
 
@@ -249,7 +249,7 @@ def _ackley(dim):
     # Printed with fixed 0.5 coefficients inside both exponentials
     # (independent of dimension); minimum value e - e^(0.5*dim) at the origin.
     def parts(x):
-        r = math.sqrt(0.5 * float(x @ x))
+        r = math.sqrt(0.5 * float(x.dot(x)))
         c = float(np.sum(np.cos(2 * _PI * x)))
         return r, c
 
@@ -476,7 +476,7 @@ def _griewank(dim):
     rs = np.sqrt(idx)
 
     def value(x):
-        return float(1.0 + float(x @ x) / 4000.0 - np.prod(np.cos(x / rs)))
+        return float(1.0 + float(x.dot(x)) / 4000.0 - np.prod(np.cos(x / rs)))
 
     def grad(x):
         u = x / rs

@@ -69,7 +69,7 @@ class StochasticObjective:
 
         def value(x):
             C, _ = trig(x)
-            return float(1.0 + m2 * (x @ x) / 4000.0
+            return float(1.0 + m2 * x.dot(x) / 4000.0
                          - np.mean(np.prod(C, axis=1)))
 
         def grad(x):

@@ -224,12 +224,13 @@ def zeta_partial(n_terms, name=""):
     if n_terms < 1:
         raise InvalidInputError("need at least one term")
     lns = np.log(np.arange(1, n_terms + 1, dtype=float))
+    neg, sq = -lns, lns * lns
 
     def triple(z):
-        e = np.exp(-lns * z)
+        e = np.exp(neg * z)
         return (complex(np.sum(e)),
-                complex(np.sum(-lns * e)),
-                complex(np.sum(lns * lns * e)))
+                complex(np.sum(neg * e)),
+                complex(np.sum(sq * e)))
 
     return _from_triple(triple, name or f"zeta-partial-{n_terms}")
 
@@ -242,18 +243,21 @@ def exp_rational_derivative(p_coeffs, q_coeffs, name=""):
     N' = p''q - pq'' and N'' = p'''q + p''q' - p'q'' - pq''' close the set,
     so four derivatives of p and q suffice.
     """
-    kp = np.arange(len(p_coeffs), dtype=float)
-    cp = np.asarray(p_coeffs, dtype=float)
-    kq = np.arange(len(q_coeffs), dtype=float)
-    cq = np.asarray(q_coeffs, dtype=float)
+    def weights(coeffs):
+        # row j holds (-k)^j c_k, the coefficients of the j-th derivative
+        neg = -np.arange(len(coeffs), dtype=float)
+        cs = np.asarray(coeffs, dtype=float)
+        return neg, np.array([(neg ** j) * cs for j in range(4)])
 
-    def derivs(ks, cs, z, upto):
-        e = np.exp(-ks * z)
-        return [complex(np.sum(((-ks) ** j) * cs * e)) for j in range(upto + 1)]
+    def derivs(neg, W, z):
+        # each row summed along its contiguous axis: np.sum's pairwise order
+        return (W * np.exp(neg * z)).sum(axis=1).tolist()
+
+    p_weights, q_weights = weights(p_coeffs), weights(q_coeffs)
 
     def triple(z):
-        p0, p1, p2, p3 = derivs(kp, cp, z, 3)
-        q0, q1, q2, q3 = derivs(kq, cq, z, 3)
+        p0, p1, p2, p3 = derivs(*p_weights, z)
+        q0, q1, q2, q3 = derivs(*q_weights, z)
         if q0 == 0:
             raise ZeroDivisionError(f"q(z) = 0 at z={z}")
         N = p1 * q0 - p0 * q1

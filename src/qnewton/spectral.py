@@ -31,7 +31,7 @@ positive.  Equivalently w = pr+(A^-1 g) - pr-(A^-1 g).  With
 ``signed=True`` it divides by lambda_i itself, which is the Newton step
 A^-1 g.  With two eigenvalues it computes c_j = (E_0j g_0 + E_1j g_1) /
 |lambda_j| and w = E c on floats, which agrees with the array form
-E @ ((E.T @ g) / |lambda|) of every other size to within the rounding of
+E (E^T g / |lambda|) of every other size to within the rounding of
 those sums.  A shift of A by s*I moves every eigenvalue by s and keeps the
 eigenvectors, and l + s on a Python float rounds as numpy's
 ``eigenvalues + s`` does, so a shifted matrix is applied from the list
@@ -182,4 +182,4 @@ def reflect_inverse_apply(lam, V, g, signed=False):
         c1 = (e01 * g0 + e11 * g1) / l1
         return np.array([e00 * c0 + e01 * c1, e10 * c0 + e11 * c1])
     lam = np.array(lam)
-    return V @ ((V.T @ g) / (lam if signed else np.abs(lam)))
+    return V.dot(V.T.dot(g) / (lam if signed else np.abs(lam)))

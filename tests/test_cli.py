@@ -285,6 +285,9 @@ def test_bench_spec_file(tmp_path, capsys):
     {"initial_points": {"count": 1, "box": [float("nan"), 1.0]}},
     {"initial_points": {"count": 1, "box": [0.0, float("inf")]}},
     {"initial_points": {"count": 1, "box": [-1e308, 1e308]}},  # width overflows
+    {"initial_points": [[float("nan"), 0.7]]},
+    {"initial_points": [[float("inf"), 0.7]]},
+    {"initial_points": {"count": 1}},                    # a draw needs a seed
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},
@@ -318,6 +321,7 @@ def test_compare_malformed_spec_document_exits_2(text, tmp_path, capsys):
     ["compare", "--suite", "rosenbrock2", "--function", "ex13"],
     ["compare", "--function", "ex13", "--methods", ","],
     ["compare", "--suite", "no-such-suite"],
+    ["compare", "--function", "ex13", "--x0", "nan,1", "--max-iter", "2"],
 ])
 def test_compare_bad_invocations_exit_2(argv, capsys):
     assert run_cli(argv) == 2

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -481,3 +482,20 @@ def test_results_root_env_override(monkeypatch, tmp_path):
     assert results_root() == tmp_path / "out"
     monkeypatch.delenv("QNEWTON_RESULTS")
     assert results_root() == Path("results")
+
+
+def test_bench_record_ab_times_each_checkouts_own_code():
+    # two workers on one checkout: each imports that checkout's src/, and
+    # every pass of both passes perfbench's output checks
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", root / "tools" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    r = bench_record.ab(root, "dense-hessian", 1, 2)
+    assert 0 <= r["wins_this"] <= 2
+    for side in ("this", "other"):
+        s = r[side]
+        assert Path(s["qnewton"]).is_relative_to(root / "src")
+        assert len(s["pass_s"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
+        assert s["failed"] == 0 and s["attempted"] == 3 * 8

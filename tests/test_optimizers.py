@@ -458,8 +458,8 @@ def test_newton_cycles_on_quartic():
 
 def test_random_damping_equals_newton_when_forced():
     class Unit:
-        def uniform(self, lo, hi):
-            return 1.0
+        def random(self):
+            return 0.5
 
     obj = make_benchmark("rosenbrock", 2)
     x = np.array([0.3, -0.2])
