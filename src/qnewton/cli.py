@@ -19,9 +19,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidInputError
-from .harness import (ExperimentSpec, SUITES, _resolve_objective, build_spec,
-                      emit_report, results_root, run_experiment, run_to_row,
-                      suite_spec)
+from .harness import (ExperimentSpec, MethodConfig, SUITES, _resolve_objective,
+                      build_spec, emit_report, results_root, run_experiment,
+                      run_to_row, suite_spec)
 from .objectives import catalog_listing, default_start
 from .optimizers import METHODS, DeltaSchedule, StopCriteria
 from .rootfind import (BUILTINS, builtin, find_root, parse_poly_coeffs,
@@ -164,8 +164,8 @@ def cmd_compare(args):
 def cmd_roots(args):
     m = poly_mero(parse_poly_coeffs(args.poly)) if args.poly \
         else builtin(args.builtin)
-    result = find_root(m, args.x0, method=args.method,
-                       sched=DeltaSchedule(args.delta_set, args.alpha),
+    cfg = MethodConfig(args.method, DeltaSchedule(args.delta_set, args.alpha))
+    result = find_root(m, args.x0, method=cfg.method, sched=cfg.sched,
                        stop=_stop_from(args), seed=args.seed)
     if args.out:
         out = Path(args.out)
@@ -216,9 +216,11 @@ def _add_run_flags(p):
     p.add_argument("--method", default="nqn", choices=list(METHODS),
                    help="optimizer to run")
     p.add_argument("--delta-set", type=_floats, default=DeltaSchedule.deltas,
-                   help="comma-separated shift coefficients, tried in order")
+                   help="shift coefficients of nqn and nqn-backtracking, "
+                        "comma-separated, tried in order")
     p.add_argument("--alpha", type=float, default=DeltaSchedule.alpha,
-                   help="exponent in the shift size h(t) = min{1, t^(1+alpha)}")
+                   help="exponent in nqn's and nqn-backtracking's shift "
+                        "size h(t) = min{1, t^(1+alpha)}")
     _add_stop_flags(p)
     p.add_argument("--xtol", type=float, default=StopCriteria.step_tol,
                    help="stop when the step norm falls to this")

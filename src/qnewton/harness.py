@@ -26,8 +26,8 @@ from .fixtures import (ABBBA_STARTS, GRIEWANK15_X0, ROSENBROCK2_X0,
                        STYBLINSKI100_X0)
 from .objectives import make_benchmark, make_stochastic_griewank
 from .objectives.base import as_integer
-from .optimizers import (METHODS, DeltaSchedule, StopCriteria, _write_utf8,
-                         run)
+from .optimizers import (METHODS, DeltaSchedule, StopCriteria, _USES_DELTAS,
+                         _write_utf8, run)
 
 # A method entry of the experiment JSON holds these keys besides "method":
 # every DeltaSchedule field, and any StopCriteria field as a per-method stop.
@@ -50,6 +50,11 @@ class MethodConfig:
         if not isinstance(self.method, str) or self.method not in METHODS:
             raise InvalidInputError(
                 f"unknown method {self.method!r}; have {sorted(METHODS)}")
+        # a schedule the method would not read is rejected, not dropped
+        if self.method not in _USES_DELTAS and self.sched != DeltaSchedule():
+            raise InvalidInputError(
+                f"{self.method} takes no shift schedule; only "
+                f"{', '.join(_USES_DELTAS)} do")
 
 
 @dataclass(frozen=True)

@@ -26,23 +26,24 @@ def _eval_finite(f, x):
     return float(v)
 
 
-def fd_gradient(f, x, h=FD_GRAD_STEP):
+def fd_gradient(f, x):
     """Central-difference gradient (f(x+h e_i) - f(x-h e_i)) / 2h.
 
-    Raises DomainError (carrying the offending point) if f evaluates
-    non-finite anywhere on the stencil.
+    h is FD_GRAD_STEP.  Raises DomainError (carrying the offending point)
+    if f evaluates non-finite anywhere on the stencil.
     """
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (_eval_finite(f, x + e) - _eval_finite(f, x - e)) / (2.0 * h)
+        e[i] = FD_GRAD_STEP
+        g[i] = (_eval_finite(f, x + e) - _eval_finite(f, x - e)) \
+            / (2.0 * FD_GRAD_STEP)
     return g
 
 
-def fd_hessian(f, x, h=FD_HESS_STEP):
-    """Second-order central-difference Hessian.
+def fd_hessian(f, x):
+    """Second-order central-difference Hessian with step FD_HESS_STEP.
 
     Each off-diagonal pair is computed once and written to both triangles,
     so the result is exactly symmetric.  Raises DomainError (carrying the
@@ -53,13 +54,13 @@ def fd_hessian(f, x, h=FD_HESS_STEP):
     H = np.empty((n, n))
     for i in range(n):
         ei = np.zeros(n)
-        ei[i] = h
+        ei[i] = FD_HESS_STEP
         for j in range(i, n):
             ej = np.zeros(n)
-            ej[j] = h
+            ej[j] = FD_HESS_STEP
             v = (_eval_finite(f, x + ei + ej) - _eval_finite(f, x + ei - ej)
                  - _eval_finite(f, x - ei + ej) + _eval_finite(f, x - ei - ej))
-            H[i, j] = H[j, i] = v / (4.0 * h * h)
+            H[i, j] = H[j, i] = v / (4.0 * FD_HESS_STEP * FD_HESS_STEP)
     return H
 
 

@@ -14,8 +14,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qnewton.cli import _build_parser, main
-from qnewton.harness import ExperimentSpec, suite_spec
-from qnewton.optimizers import METHODS
+from qnewton.harness import SUITES, ExperimentSpec, suite_spec, x0_digest
+from qnewton.objectives import default_start, make_benchmark
+from qnewton.optimizers import METHODS, DeltaSchedule, run
 from qnewton.rootfind import BUILTINS
 
 
@@ -45,7 +46,8 @@ def test_minimize_rosenbrock(tmp_path, capsys):
     assert row["method"] == "nqn"
     assert "trace written to" in err
     assert (tmp_path / "trace.csv").exists()
-    assert (tmp_path / "trace.json").exists()
+    sidecar = json.loads((tmp_path / "trace.json").read_text())
+    assert sidecar["termination"] == "converged"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim 15
@@ -99,6 +101,26 @@ def test_minimize_default_out_path(tmp_path, capsys, monkeypatch):
     assert str(expected) in err
 
 
+def test_minimize_applies_the_shift_schedule(tmp_path, capsys):
+    # on ex14 this schedule ends the run in numerical-error, where the
+    # default one converges
+    x0 = default_start("ex14")
+    trace = run("nqn", make_benchmark("ex14"), x0,
+                sched=DeltaSchedule((0.0, 2.0, -2.0), 0.5))
+    assert trace.termination.startswith("numerical-error")
+    code = run_cli(["minimize", "--function", "ex14", "--method", "nqn",
+                    "--delta-set", "0,2,-2", "--alpha", "0.5",
+                    "--out", str(tmp_path / "t.csv")])
+    assert code == 0
+    row, = read_rows(capsys.readouterr().out)
+    del row["wall_seconds"]
+    assert row == {"method": "nqn", "objective": "ex14",
+                   "x0": x0_digest(x0), "iterations": str(trace.iterations),
+                   "final_f": f"{trace.final_f:.6g}",
+                   "final_grad_norm": f"{trace.final_grad_norm:.6g}",
+                   "termination": trace.termination}
+
+
 def test_minimize_list_functions(capsys):
     code = run_cli(["minimize", "--list-functions"])
     out, _ = capsys.readouterr()
@@ -119,6 +141,8 @@ def test_minimize_list_functions(capsys):
      "--x0-box", "nan"],                                 # NaN drawn-start box
     ["minimize", "--function", "rosenbrock", "--x0=-1.2,1",
      "--x0-box", "9"],                                   # box, no drawn start
+    ["minimize", "--function", "rosenbrock", "--dim", "2", "--x0=0.5,0.5",
+     "--method", "newton", "--delta-set", "5,6", "--alpha", "3"],  # no shifts
 ])
 def test_minimize_bad_invocations_exit_2(argv, capsys, tmp_path):
     assert run_cli(argv) == 2
@@ -288,6 +312,7 @@ def test_bench_spec_file(tmp_path, capsys):
     {"initial_points": [[float("nan"), 0.7]]},
     {"initial_points": [[float("inf"), 0.7]]},
     {"initial_points": {"count": 1}},                    # a draw needs a seed
+    {"methods": [{"method": "newton", "alpha": 0.5}]},    # takes no shifts
 ])
 def test_compare_bad_spec_file_exits_2(change, tmp_path, capsys):
     doc = {"objective": "rosenbrock", "params": {"dim": 2},
@@ -383,6 +408,8 @@ def test_roots_poly_with_trace(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["classification"] == "root-of-g"
     assert (tmp_path / "r.csv").exists()
+    sidecar = json.loads((tmp_path / "r.json").read_text())
+    assert sidecar["termination"] == doc["termination"]
     assert "trace written to" in err
 
 
@@ -391,6 +418,8 @@ def test_roots_poly_with_trace(tmp_path, capsys):
     ["roots", "--poly", "1,0,1", "--builtin", "g2", "--x0", "0,1"],
     ["roots", "--poly", "1,0,1", "--x0", "1"],            # not re,im
     ["roots", "--poly", "zzz", "--x0", "0,1"],
+    ["roots", "--poly", "1,0,1", "--x0", "0.5,0.5", "--method",
+     "backtracking-gd", "--delta-set", "7", "--alpha", "9"],   # no shifts
 ])
 def test_roots_bad_invocations_exit_2(argv, capsys):
     assert run_cli(argv) == 2
@@ -413,6 +442,7 @@ def test_roots_bad_invocations_exit_2(argv, capsys):
     ["compare", "--suite", "rosenbrock2", "--max-iter", "3"],
     ["compare", "--function", "ex13", "--spec", "F", "--seed", "3"],
     ["bench", "--suites", "rosenbrock2", "--max-iter", "3"],
+    ["bench", "--suites", ","],
 ])
 def test_usage_error_prints_the_subcommand_usage(argv, capsys):
     assert run_cli(argv) == 2
@@ -430,6 +460,31 @@ def test_bench_one_suite(tmp_path, capsys):
     assert (tmp_path / "rosenbrock2" / "rows.csv").exists()
     doc = json.loads((tmp_path / "rosenbrock2" / "experiment.json").read_text())
     assert doc["seed"] == 9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim > 2
+def test_every_suite_replays_from_the_experiment_json_it_wrote(tmp_path,
+                                                               capsys):
+    # experiment.json records the configuration as run, so bench --spec on
+    # it gives the same rows in every column but wall_seconds; a spec's
+    # name is its suite's, so the replay of a suite writes replay/<suite>
+    assert run_cli(["bench", "--suites", "all",
+                    "--out", str(tmp_path / "bench")]) == 0
+    written = sorted((tmp_path / "bench").glob("*/experiment.json"))
+    assert [p.parent.name for p in written] == sorted(SUITES)
+    for path in written:
+        assert run_cli(["bench", "--spec", str(path),
+                        "--out", str(tmp_path / "replay")]) == 0
+    capsys.readouterr()
+
+    def rows(path):
+        return [{k: v for k, v in row.items() if k != "wall_seconds"}
+                for row in read_rows(path.read_text())]
+
+    for suite in sorted(SUITES):
+        first = rows(tmp_path / "bench" / suite / "rows.csv")
+        assert first and rows(tmp_path / "replay" / suite / "rows.csv") \
+            == first, suite
 
 
 def test_help_shows_defaults(capsys):

@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import io
 import json
 import math
@@ -484,14 +483,11 @@ def test_results_root_env_override(monkeypatch, tmp_path):
     assert results_root() == Path("results")
 
 
-def test_bench_record_ab_times_each_checkouts_own_code():
+def test_bench_record_ab_times_each_checkouts_own_code(load_module):
     # two workers on one checkout: each imports that checkout's src/, and
     # every pass of both passes perfbench's output checks
     root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "bench_record", root / "tools" / "bench_record.py")
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
+    bench_record = load_module("tools/bench_record.py")
     r = bench_record.ab(root, "dense-hessian", 1, 2)
     assert 0 <= r["wins_this"] <= 2
     for side in ("this", "other"):

@@ -2,13 +2,11 @@
 
 import csv
 import errno
-import importlib.util
 import json
 import os
 import stat
 import warnings
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,19 +333,14 @@ def test_2x2_apply_rejects_a_zero_eigenvalue(signed):
 # perfbench's tracer
 # ---------------------------------------------------------------------------
 
-def load_tracing():
-    """perfbench/tracing.py, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+@pytest.fixture
+def tracing(load_module):
+    return load_module("perfbench/tracing.py")
 
 
-def test_every_traced_boundary_is_bound_where_the_tracer_reads_it():
+def test_every_traced_boundary_is_bound_where_the_tracer_reads_it(tracing):
     # perfbench's tracer swaps a wrapper in for each name, read from the
     # owner's __dict__; a refactor that drops one breaks every traced pass
-    tracing = load_tracing()
     missing = [(owner.__name__, attr)
                for owner, attr, _, _ in tracing._BOUNDARIES
                if not callable(owner.__dict__.get(attr))]
@@ -355,10 +348,9 @@ def test_every_traced_boundary_is_bound_where_the_tracer_reads_it():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 3 shifts, dim 15
-def test_the_tracer_sees_every_spectral_call():
+def test_the_tracer_sees_every_spectral_call(tracing):
     # each Newton-type step decomposes its Hessian once and applies the
     # reflected inverse once, through names the tracer wraps
-    tracing = load_tracing()
     for obj, x0, cap in ((make_benchmark("rosenbrock", 2), ROSENBROCK2_X0, 5),
                          (make_benchmark("griewank", 15), GRIEWANK15_X0, 3)):
         with tracing.Tracer().installed() as tracer:
@@ -376,10 +368,9 @@ def test_the_tracer_sees_every_spectral_call():
                 if span.name == "spectral.eigh"} == {obj.dim}
 
 
-def test_the_tracer_sees_every_root_classification():
+def test_the_tracer_sees_every_root_classification(tracing):
     # find_root classifies its end point through classify_critical_point,
     # the name the tracer wraps; a diverged run is not classified
-    tracing = load_tracing()
     for key, z0 in sorted(ROOT_STARTS.items()):
         with tracing.Tracer().installed() as tracer:
             res = find_root(builtin(key.split("-")[0]), z0)

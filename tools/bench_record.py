@@ -39,7 +39,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
-import io  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -47,6 +46,7 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
 from collections import Counter  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,32 +93,22 @@ def perfbench_run(workload, trace):
 
 
 def suite_seconds():
-    """{suite: median seconds} over SUITE_REPEATS in-process runs of
-    ``qnewton bench --suites all``."""
+    """{suite: median seconds} over SUITE_REPEATS in-process runs of each
+    suite, timed around the ``run_experiment`` call that
+    ``qnewton bench --suites all`` makes."""
     sys.path.insert(0, str(ROOT / "src"))
-    import qnewton.cli as cli
+    from qnewton.harness import SUITES, run_experiment, suite_spec
 
-    times = {}
-    real = cli.run_experiment
-
-    def timed(spec):
-        t0 = time.perf_counter()
-        try:
-            return real(spec)
-        finally:
-            times.setdefault(spec.name, []).append(time.perf_counter() - t0)
-
-    cli.run_experiment = timed
-    try:
-        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("ignore")
-            for i in range(SUITE_REPEATS):
-                if cli.main(["bench", "--suites", "all",
-                             "--out", str(Path(out) / str(i))]) != 0:
-                    raise RuntimeError("qnewton bench --suites all failed")
-    finally:
-        cli.run_experiment = real
+    times = {name: [] for name in SUITES}
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(SUITE_REPEATS):
+            for name in SUITES:
+                spec = replace(suite_spec(name),
+                               out_dir=str(Path(out) / str(i) / name))
+                t0 = time.perf_counter()
+                run_experiment(spec)
+                times[name].append(time.perf_counter() - t0)
     return {name: statistics.median(ts) for name, ts in times.items()}
 
 
